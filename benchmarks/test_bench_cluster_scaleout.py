@@ -2,8 +2,9 @@
 
 The paper's single interaction server caps throughput at one node's
 service capacity. The cluster tier shards rooms across servers behind a
-gateway; this benchmark drives the same multi-room conference workload
-through 1, 2 and 4 shards (identical per-shard service rate) and
+gateway (one gateway node and the directory); this benchmark drives the
+same multi-room conference workload through 1, 2 and 4 shards
+(identical per-shard service rate) and
 measures propagated choices per simulated second. The acceptance claim:
 two shards sustain strictly more throughput than one.
 """
@@ -44,12 +45,11 @@ def run_scaleout(tmp_path, num_shards, tag):
     store = MultimediaObjectStore(db)
     result = run_cluster_conference(
         store,
-        num_shards=num_shards,
         num_rooms=NUM_ROOMS,
         clients_per_room=CLIENTS_PER_ROOM,
         events_per_room=EVENTS_PER_ROOM,
-        service_rate=SERVICE_RATE,
         seed=17,
+        config=ClusterConfig(shards=num_shards, service_rate=SERVICE_RATE),
     )
     db.close()
     return result
@@ -128,7 +128,7 @@ def test_gateway_overhead(benchmark, tmp_path):
     benchmark.pedantic(run_scaleout, args=(tmp_path, 1, "overhead"), rounds=2)
 
 
-def run_tiered(tmp_path, shards, gateways, tag):
+def run_tier(tmp_path, shards, gateways, tag):
     """One conference through the gateway tier with finite route capacity."""
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
@@ -162,9 +162,9 @@ def test_gateway_tier_scaleout(benchmark, report, tmp_path):
     second while the per-client route caches keep the directory off the
     data plane (hit rate stays above 90%).
     """
-    results = {g: run_tiered(tmp_path, 8, g, f"gw{g}") for g in GW_SWEEP}
+    results = {g: run_tier(tmp_path, 8, g, f"gw{g}") for g in GW_SWEEP}
     benchmark.pedantic(
-        run_tiered, args=(tmp_path, 8, 2, "gw-bench"), rounds=1 if QUICK else 2
+        run_tier, args=(tmp_path, 8, 2, "gw-bench"), rounds=1 if QUICK else 2
     )
     rows = []
     for g in GW_SWEEP:
@@ -198,8 +198,8 @@ def test_gateway_ratio_guard(report, tmp_path):
     the 4-shard single-gateway cluster by >= 1.7x on the same workload,
     with route-cache hit rate above 90%. Regenerate the snapshot with
     ``REPRO_UPDATE_GUARD=1``."""
-    base = run_tiered(tmp_path, 4, 1, "guard-base")
-    tier = run_tiered(tmp_path, 8, 4, "guard-tier")
+    base = run_tier(tmp_path, 4, 1, "guard-base")
+    tier = run_tier(tmp_path, 8, 4, "guard-tier")
     ratio = tier["throughput_eps"] / base["throughput_eps"]
     hit_rate = tier["route_cache"]["hit_rate"]
     report.line(

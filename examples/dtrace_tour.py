@@ -25,6 +25,7 @@ import tempfile
 
 from repro import obs
 from repro.chaos.plan import FaultPlan
+from repro.cluster import ClusterConfig
 from repro.db import Database, MultimediaObjectStore
 from repro.obs.dtrace import (
     HOP_RETRANSMIT,
@@ -49,11 +50,12 @@ def traced_cluster_run(workdir):
             with use_dtrace(tracer):
                 result = run_cluster_conference(
                     store,
-                    num_shards=4,
                     num_rooms=2,
                     clients_per_room=3,
                     events_per_room=4,
-                    batch_window_s=0.02,
+                    config=ClusterConfig(
+                        shards=4, service_rate=200.0, batch_window_s=0.02
+                    ),
                 )
     finally:
         db.close()
@@ -73,11 +75,10 @@ def chaos_run(workdir):
                 result = run_chaos_conference(
                     store,
                     plan=FaultPlan(seed=3, drop_rate=0.25),
-                    num_shards=2,
                     num_rooms=2,
                     clients_per_room=2,
                     events_per_room=4,
-                    failure_timeout=30.0,
+                    config=ClusterConfig(shards=2, gateways=2, failure_timeout=30.0),
                 )
     finally:
         db.close()

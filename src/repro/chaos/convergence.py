@@ -104,10 +104,10 @@ def run_convergence(
     ``tracing`` turns full-sampling delivery tracing on for the seeded
     chaos runs only — the control stays untraced, so convergence then
     also proves trace trailers are invisible to the data plane.
-    ``gateway_crash`` routes the whole scenario through the sharded
-    gateway tier and fail-stops one gateway mid-conference — in both
-    the control and the seeded runs, so the replay/op_seq machinery must
-    reconverge byte-identically under faults too.
+    ``gateway_crash`` fail-stops one of the tier's gateways
+    mid-conference — in both the control and the seeded runs, so the
+    replay/op_seq machinery must reconverge byte-identically under
+    faults too.
     ``megaconf`` swaps the three-phase conference for the mega-conference
     keynote flash crowd (:func:`~repro.workloads.megaconf
     .run_megaconf_convergence`): admission control is on, JOIN deferral
@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--gateway-crash",
         action="store_true",
-        help="run through the gateway tier and kill one gateway mid-conference",
+        help="kill one gateway of the tier mid-conference",
     )
     parser.add_argument(
         "--megaconf",

@@ -7,9 +7,10 @@ clients and the rooms/DB without changing the client protocol:
 
 * :mod:`repro.cluster.ring` — a consistent-hash ring shards rooms across
   server nodes with bounded movement on membership change;
-* :mod:`repro.cluster.gateway` — the :class:`Gateway` owns the
-  client-facing links, routes each message to the owning shard, and
-  re-homes sessions transparently on failover;
+* :mod:`repro.cluster.gateway` — the :class:`Gateway` routing core:
+  it owns client-facing links, routes each message to the owning shard,
+  parks and retries ops a failover has made briefly unroutable, and
+  fences shards declared dead;
 * :mod:`repro.cluster.shard` — a :class:`ShardServer` wraps a full
   :class:`~repro.server.interaction.InteractionServer` behind a
   bounded-capacity service queue and ships its room ops to replicas;
@@ -17,10 +18,11 @@ clients and the rooms/DB without changing the client protocol:
   acked sequence numbers; replicas replay ops into shadow servers;
 * :mod:`repro.cluster.failover` — simclock-driven heartbeats and the
   failure detector that triggers deterministic promotion;
-* :mod:`repro.cluster.gatewaytier` — the sharded gateway tier: N
-  :class:`GatewayNode` access points with per-client homing and route
-  caches, plus the :class:`GatewayDirectory` control plane that assigns
-  clients to gateways and fails them over when a gateway dies;
+* :mod:`repro.cluster.gatewaytier` — the gateway tier, the cluster's
+  only topology: N >= 1 :class:`GatewayNode` access points with
+  per-client homing and route caches, plus the
+  :class:`GatewayDirectory` control plane that detects shard and
+  gateway failures, orders promotions, and re-homes clients;
 * :mod:`repro.cluster.admission` — the :class:`AdmissionController`
   guarding each shard's service queue and each gateway's routing queue:
   priority lanes (control never shed, JOINs deferred before data drops)

@@ -4,10 +4,9 @@ One frozen dataclass carries every knob that shapes a cluster —
 shard count, gateway-tier width, service and routing capacity, the
 batching window — so :class:`~repro.cluster.harness.ClusterHarness` and
 :func:`~repro.workloads.cluster.run_cluster_conference` stop growing
-positional parameters. ``gateways=0`` keeps the original single-hub
-:class:`~repro.cluster.gateway.Gateway` topology byte for byte;
-``gateways >= 1`` builds the sharded gateway tier of
-:mod:`repro.cluster.gatewaytier` (a directory plus N gateway nodes).
+positional parameters. Every cluster is the gateway tier of
+:mod:`repro.cluster.gatewaytier`: a directory plus ``gateways >= 1``
+gateway nodes in front of ``shards`` shard servers.
 """
 
 from __future__ import annotations
@@ -22,18 +21,18 @@ from repro.errors import ClusterError
 class ClusterConfig:
     """Topology + capacity knobs for one simulated cluster."""
 
-    #: Shard servers behind the gateway (or gateway tier).
+    #: Shard servers behind the gateway tier.
     shards: int = 2
-    #: Gateway nodes. 0 = the legacy single hub; >= 1 = the gateway tier
-    #: with a directory, per-client homing and gateway failover.
-    gateways: int = 0
+    #: Gateway nodes behind the directory (per-client homing, gateway
+    #: failover once there are two or more).
+    gateways: int = 1
     #: Propagation batching window on the shards (0 = send immediately).
     batch_window_s: float = 0.0
     #: Shard serial service capacity in ops/second (None = infinite).
     service_rate: float | None = None
     #: Gateway routing capacity in envelopes/second (None = infinite).
-    #: Only meaningful with ``gateways >= 1``; this is the knob that
-    #: makes gateway scale-out measurable in benchmark E16.
+    #: This is the knob that makes gateway scale-out measurable in
+    #: benchmark E16.
     route_rate: float | None = None
     #: Ring replication factor for room op logs.
     replication_factor: int = 2
@@ -51,12 +50,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ClusterError(f"a cluster needs >= 1 shard, got {self.shards}")
-        if self.gateways < 0:
-            raise ClusterError(f"gateways must be >= 0, got {self.gateways}")
+        if self.gateways < 1:
+            raise ClusterError(f"a cluster needs >= 1 gateway, got {self.gateways}")
         if self.route_rate is not None and self.route_rate <= 0:
             raise ClusterError(f"route_rate must be > 0, got {self.route_rate}")
 
-    @property
-    def tiered(self) -> bool:
-        """True when the gateway tier (directory + N gateways) is on."""
-        return self.gateways > 0

@@ -1,12 +1,11 @@
-"""The sharded gateway tier: N gateways, a directory, gateway failover.
+"""The gateway tier: N gateways, a directory, gateway failover.
 
-The single :class:`~repro.cluster.gateway.Gateway` is both the E11
-scale-out ceiling (every client link and ROUTE envelope crosses one
-node) and the one component chaos cannot kill. This module splits it
-into a horizontal tier:
+This is the cluster's only topology — one directory plus one or more
+gateway nodes in front of the shard fleet:
 
 * :class:`GatewayNode` — one of N access points. A backbone peer that
-  also terminates client links (``network.attach_gateway``), it keeps a
+  also terminates client links (``network.attach_gateway``), it routes
+  with the :class:`~repro.cluster.gateway.Gateway` machinery and keeps a
   per-gateway **route cache** (session → owning shard) learned by
   sniffing ``JOIN_ACK`` responses. Steady-state room traffic flows
   client → gateway → shard with zero directory hops; a cache miss parks
@@ -17,12 +16,13 @@ into a horizontal tier:
   gateways by consistent hash over client node ids (the same ring
   machinery that shards rooms), keeps the authoritative session→shard
   table from gateways' ``ROUTE_REPORT``\\ s, and runs the failure
-  detector for **both** shards and gateways. A dead shard triggers the
-  usual ``PROMOTE`` plus a ``ROUTE_INVALIDATE`` broadcast so stale
-  cache entries die with it; a dead gateway's clients are re-homed onto
-  the ring's surviving owner, and each client's ``on_gateway_failover``
-  hook replays its parked ops through the new home (the shard-side
-  per-session ``op_seq`` dedup keeps the replay exactly-once).
+  detector for **both** shards and gateways. A dead shard triggers a
+  ``PROMOTE`` to the ring's new owner plus a ``ROUTE_INVALIDATE``
+  broadcast so stale cache entries die with it; a dead gateway's
+  clients are re-homed onto the ring's surviving owner, and each
+  client's ``on_gateway_failover`` hook replays its parked ops through
+  the new home (the shard-side per-session ``op_seq`` dedup keeps the
+  replay exactly-once).
 
 The directory itself stays off the data path — after the lookup that
 fills a cache entry, it sees only reports and heartbeats — and is the
@@ -65,21 +65,9 @@ class GatewayNode(Gateway):
         ring: HashRing,
         node_id: str,
         route_rate: float | None = None,
-        replication_factor: int = 2,
-        route_retry_base_s: float = 0.25,
-        route_retry_attempts: int = 6,
-        route_retry_max_s: float = 4.0,
         admission: AdmissionConfig | None = None,
     ) -> None:
-        super().__init__(
-            network,
-            ring=ring,
-            node_id=node_id,
-            replication_factor=replication_factor,
-            route_retry_base_s=route_retry_base_s,
-            route_retry_attempts=route_retry_attempts,
-            route_retry_max_s=route_retry_max_s,
-        )
+        super().__init__(network, ring=ring, node_id=node_id)
         self.directory_id = directory_id
         self.alive = True
         self._route_queue = (
@@ -110,9 +98,6 @@ class GatewayNode(Gateway):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_invalidations = 0
-
-    def _attach_to_network(self, network: SimulatedNetwork) -> None:
-        network.attach_gateway(self)
 
     # ----- topology ---------------------------------------------------------------
 
@@ -419,13 +404,11 @@ class GatewayDirectory:
         gateway_ring: HashRing | None = None,
         node_id: str = "directory",
         failure_timeout: float = 2.0,
-        replication_factor: int = 2,
     ) -> None:
         self.node_id = node_id
         self.network = network
         self.ring = ring if ring is not None else HashRing()
         self.gateway_ring = gateway_ring if gateway_ring is not None else HashRing()
-        self.replication_factor = replication_factor
         self.detector = FailureDetector(failure_timeout)
         self._shards: set[str] = set()
         self._gateways: set[str] = set()
@@ -434,7 +417,8 @@ class GatewayDirectory:
         self._session_key: dict[str, str] = {}    # session -> sharding key (doc)
         self._clients: dict[str, Any] = {}        # node id -> client object
         self._pending_failover: dict[tuple[str, str], float] = {}
-        #: completed shard failovers (same shape as Gateway.failovers).
+        #: completed shard failovers, in order: primary/promoted/started/
+        #: completed/sessions.
         self.failovers: list[dict[str, Any]] = []
         #: completed gateway failovers: gateway/clients moved/timing.
         self.gateway_failovers: list[dict[str, Any]] = []
@@ -496,16 +480,8 @@ class GatewayDirectory:
         return gateway_id
 
     @property
-    def shard_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._shards))
-
-    @property
     def live_shards(self) -> tuple[str, ...]:
         return tuple(sorted(self._shards - self._dead))
-
-    @property
-    def gateway_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._gateways))
 
     @property
     def live_gateways(self) -> tuple[str, ...]:
@@ -518,16 +494,15 @@ class GatewayDirectory:
     def shard_of_session(self, session_id: str) -> str | None:
         return self._session_route.get(session_id)
 
-    def home_of_client(self, node_id: str) -> str | None:
-        return self.network.home_of(node_id)
-
     # ----- failure detection ------------------------------------------------------
 
     def start_failure_detection(self, interval: float, until: float) -> None:
         """Sweep the detector every *interval* seconds up to the horizon."""
         clock = self.network.clock
-        # Re-arm beats so nodes registered long before sweeping begins
-        # still get a full timeout from *now* (see Gateway's twin).
+        # Nodes registered long before sweeping begins still get a full
+        # timeout from *now* — without this re-arm, the first sweep would
+        # compare against the registration timestamp and declare a healthy
+        # fleet dead before any heartbeat has had a chance to arrive.
         for node in self.detector.watched:
             self.detector.beat(node, clock.now)
 
@@ -664,8 +639,10 @@ class GatewayDirectory:
         payload = message.payload or {}
         kind = message.kind
         if message.sender in self._dead:
-            # Zombie fencing, same rule as the gateway: declared dead
-            # stays dead, late frames must not resurrect routes.
+            # Zombie fencing: a node declared dead stays dead. A slow
+            # frame from before the declaration (or a partitioned node
+            # that kept running) must not resurrect routes or revive it
+            # via a late heartbeat.
             self._m_zombies_fenced.inc()
             self._emit(
                 "directory.zombie_fenced", severity="WARN",

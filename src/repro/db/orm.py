@@ -10,7 +10,6 @@ audio, compressed streams, whole documents).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -305,8 +304,3 @@ class MultimediaObjectStore:
         if rows:
             return ViewerProfile.from_dict(rows[0]["FLD_DATA"])
         return ViewerProfile(viewer_id)
-
-
-def document_payload_size(document: MultimediaDocument) -> int:
-    """Bytes of the serialized document (used by room-transfer accounting)."""
-    return len(json.dumps(document_to_json(document)))

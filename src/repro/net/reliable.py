@@ -359,11 +359,3 @@ class ReliableTransport:
     def in_flight(self) -> int:
         """Reliable frames sent but not yet acked."""
         return len(self._outstanding)
-
-    def stream_state(self, sender: str, recipient: str) -> dict[str, Any]:
-        state = self._recv.get((sender, recipient))
-        return {
-            "expected": state.expected if state else 1,
-            "held_back": len(state.buffer) if state else 0,
-            "next_seq": self._next_seq.get((sender, recipient), 1),
-        }

@@ -22,6 +22,7 @@ by :mod:`repro.chaos.convergence`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.chaos.plan import FaultPlan
@@ -42,31 +43,34 @@ CRASH_AT = 6.0
 PHASE3_AT = 12.0
 HORIZON = 30.0
 
+#: The chaos cluster: three shards behind two gateways, so a gateway
+#: crash always leaves a survivor to re-home onto.
+CHAOS_CLUSTER = ClusterConfig(shards=3, gateways=2)
+
 
 def run_chaos_conference(
     store: MultimediaObjectStore,
     plan: FaultPlan | None = None,
-    num_shards: int = 3,
     num_rooms: int = 3,
     clients_per_room: int = 2,
     events_per_room: int = 6,
     seed: int = 0,
     crash_owner_of: str | None = None,
     partition: bool = False,
-    failure_timeout: float = 2.0,
     horizon: float = HORIZON,
     reliability: Any = True,
     interest_churn: bool = False,
     gateway_crash: bool = False,
-    num_gateways: int = 2,
+    config: ClusterConfig = CHAOS_CLUSTER,
 ) -> dict[str, Any]:
     """Drive the three-phase conference; return the final client state.
 
     With ``plan=None`` this is the fault-free control run (same code
     path, same reliable transport, no faults). ``partition=True`` adds a
-    gateway↔shard partition window to *plan* over phase 2; the window
-    (1.0 s) is shorter than *failure_timeout* by design — a partition
-    this brief must be repaired by retransmission, not by failover.
+    window to *plan* over phase 2 that cuts the home gateway of room 0's
+    writer off from one shard; the window (1.0 s) is shorter than the
+    config's ``failure_timeout`` by design — a partition this brief must
+    be repaired by retransmission, not by failover.
     ``crash_owner_of`` names a document whose owning shard fail-stops at
     :data:`CRASH_AT`, which *is* long enough to trigger failover.
 
@@ -80,10 +84,10 @@ def run_chaos_conference(
     heals whatever the churn raced past, so seeded runs must still end
     byte-identical to the control.
 
-    ``gateway_crash=True`` runs the conference through the sharded
-    gateway tier (*num_gateways* gateways behind a directory) and
-    fail-stops the gateway homing room 0's writer at :data:`GW_CRASH_AT`
-    — inside the partition window when ``partition=True``. Its clients
+    The cluster is built from *config* (default :data:`CHAOS_CLUSTER`).
+    ``gateway_crash=True`` fail-stops the gateway
+    homing room 0's writer at :data:`GW_CRASH_AT` — inside the partition
+    window when ``partition=True``. Its clients
     re-home to a survivor and replay; the control run performs the same
     crash (the op_seq stamps must match byte-for-byte), just without
     network faults. Frames that die *with* the victim gateway are
@@ -98,23 +102,9 @@ def run_chaos_conference(
         )
         records[doc_id] = record
         store.store_document(record)
-    if gateway_crash:
-        config = ClusterConfig(
-            shards=num_shards,
-            gateways=num_gateways,
-            failure_timeout=failure_timeout,
-            interest_mode="cpnet" if interest_churn else "off",
-        )
-        harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
-    else:
-        harness = ClusterHarness(
-            store,
-            num_shards=num_shards,
-            failure_timeout=failure_timeout,
-            reliability=reliability,
-            plan=plan,
-            interest_mode="cpnet" if interest_churn else "off",
-        )
+    if interest_churn:
+        config = replace(config, interest_mode="cpnet")
+    harness = ClusterHarness(store, config, reliability=reliability, plan=plan)
     primitives = {doc_id: primitive_paths(records[doc_id]) for doc_id in docs}
     churning = interest_churn and clients_per_room > 1
     clients: dict[str, list[Any]] = {}
@@ -148,35 +138,25 @@ def run_chaos_conference(
 
     base = harness.clock.now  # timeline anchor: phase 1 fully drained
     victim = harness.owner_of(crash_owner_of) if crash_owner_of else None
-    # The gateway to kill: whoever homes room 0's writer — guaranteed to
-    # have parked ops and a learned route cache when it dies.
-    gw_victim = (
-        harness.network.home_of(clients[docs[0]][0].node_id)
-        if gateway_crash
-        else None
-    )
+    # The home gateway of room 0's writer: the partitioned side, and with
+    # gateway_crash the one to kill — guaranteed to have parked ops and a
+    # learned route cache when it dies.
+    writer_home = harness.network.home_of(clients[docs[0]][0].node_id)
+    gw_victim = writer_home if gateway_crash else None
     if partition:
         if plan is None:
             raise ValueError("partition=True needs a FaultPlan to carry the window")
         if gw_victim is not None:
             # Cut the doomed gateway off from room 0's owning shard: the
             # crash then lands mid-repair, the worst-case interleaving.
-            plan.partition(
-                {gw_victim},
-                {harness.owner_of(docs[0])},
-                base + PARTITION_START,
-                base + PARTITION_END,
-            )
+            target = harness.owner_of(docs[0])
         else:
             # Cut the gateway off from one shard that is NOT the crash
             # victim: the partition must be survivable by retries alone.
             target = next(s for s in sorted(harness.shards) if s != victim)
-            plan.partition(
-                {harness.gateway.node_id},
-                {target},
-                base + PARTITION_START,
-                base + PARTITION_END,
-            )
+        plan.partition(
+            {writer_home}, {target}, base + PARTITION_START, base + PARTITION_END
+        )
 
     harness.start(until=base + horizon)
 

@@ -248,17 +248,6 @@ class TestShardFailureInTier:
 
 
 class TestClusterConfig:
-    def test_legacy_kwargs_build_equivalent_config(self, fresh_obs, tmp_path):
-        store, _ = build_store(tmp_path, "legacy")
-        legacy = ClusterHarness(store, num_shards=3, failure_timeout=1.5)
-        assert legacy.config == ClusterConfig(shards=3, failure_timeout=1.5)
-        assert not legacy.config.tiered
-        assert legacy.directory is None
-        assert legacy.gateways == {}
-        # Positional int still means num_shards (the pre-config shape).
-        positional = ClusterHarness(store, 4)
-        assert positional.config.shards == 4
-
     def test_validation(self):
         with pytest.raises(ClusterError):
             ClusterConfig(shards=0)
@@ -267,6 +256,6 @@ class TestClusterConfig:
         with pytest.raises(ClusterError):
             ClusterConfig(route_rate=0.0)
 
-    def test_tiered_flag(self):
-        assert not ClusterConfig().tiered
-        assert ClusterConfig(gateways=1).tiered
+    def test_a_cluster_needs_a_gateway(self):
+        with pytest.raises(ClusterError):
+            ClusterConfig(gateways=0)

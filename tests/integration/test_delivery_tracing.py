@@ -13,6 +13,7 @@ import pytest
 from repro import obs
 from repro.chaos.plan import FaultPlan
 from repro.client import ClientModule
+from repro.cluster import ClusterConfig
 from repro.db import Database, MultimediaObjectStore
 from repro.net import SimulatedNetwork
 from repro.obs.dtrace import (
@@ -31,6 +32,8 @@ from repro.server import InteractionServer
 from repro.workloads.chaos import run_chaos_conference
 from repro.workloads.cluster import run_cluster_conference
 
+#: Four shards at the workload's default service rate, batching on.
+BATCHED_FOUR_SHARDS = ClusterConfig(shards=4, service_rate=200.0, batch_window_s=0.02)
 
 @pytest.fixture
 def obs_sandbox():
@@ -50,8 +53,8 @@ def test_four_shard_cluster_reconstructs_full_delivery_trees(obs_sandbox, store)
     tracer = DeliveryTracer(sample_every=1)
     with use_dtrace(tracer):
         result = run_cluster_conference(
-            store, num_shards=4, num_rooms=4, clients_per_room=3,
-            events_per_room=3, batch_window_s=0.02,
+            store, num_rooms=4, clients_per_room=3, events_per_room=3,
+            config=BATCHED_FOUR_SHARDS,
         )
     assert result["errors"] == []
     assert len(tracer.store) > 0
@@ -88,8 +91,8 @@ def test_rendered_tree_names_every_hop_per_subscriber(obs_sandbox, store):
     tracer = DeliveryTracer(sample_every=1)
     with use_dtrace(tracer):
         run_cluster_conference(
-            store, num_shards=4, num_rooms=2, clients_per_room=3,
-            events_per_room=2, batch_window_s=0.02,
+            store, num_rooms=2, clients_per_room=3, events_per_room=2,
+            config=BATCHED_FOUR_SHARDS,
         )
     record = next(
         r for r in tracer.store
@@ -109,8 +112,8 @@ def test_chaos_run_attaches_retransmit_children(obs_sandbox, store):
         result = run_chaos_conference(
             store,
             plan=FaultPlan(seed=3, drop_rate=0.25),
-            num_shards=2, num_rooms=2, clients_per_room=2,
-            events_per_room=4, failure_timeout=30.0,
+            num_rooms=2, clients_per_room=2, events_per_room=4,
+            config=ClusterConfig(shards=2, gateways=2, failure_timeout=30.0),
         )
     assert result["errors"] == []
     retransmits = [
