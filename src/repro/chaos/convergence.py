@@ -113,7 +113,8 @@ def run_convergence(
     .run_megaconf_convergence`): admission control is on, JOIN deferral
     engages during the keynote wave, and the fault window (plus the
     optional gateway crash) lands mid-keynote — overload shedding and
-    chaos repair must *compose* without breaking byte-identity.
+    chaos repair must *compose* without breaking byte-identity; each
+    seed must also register gateway JOIN deferrals.
     ``cpnet_compiled`` makes the *control* run on the interpreted CP-net
     engine while the seeded chaos runs keep compiled evaluation and the
     shared completion cache on — so convergence then also proves the
@@ -165,6 +166,7 @@ def run_convergence(
         cache_hits = int(
             result["counters"].get("cpnet.completion_cache.hits", 0)
         )
+        gateway_deferred = result.get("admission", {}).get("gateway_deferred", 0)
         seed_ok = (
             converged
             and not result["errors"]
@@ -174,12 +176,15 @@ def run_convergence(
             # Compiled mode must prove the cache actually shared work,
             # not just that the compiled sweep happened to agree.
             and (not cpnet_compiled or cache_hits > 0)
+            # The keynote wave must exercise the gateway admission gate.
+            and (not megaconf or gateway_deferred > 0)
         )
         ok = ok and seed_ok
         report["seeds"][seed] = {
             "ok": seed_ok,
             "converged": converged,
             "completion_cache_hits": cache_hits,
+            "gateway_deferred": gateway_deferred,
             "errors": result["errors"],
             "delivery_failures": result["delivery_failures"],
             "injected": result["injected"],
@@ -253,10 +258,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     for seed, entry in report["seeds"].items():
         status = "ok" if entry["ok"] else "DIVERGED"
+        deferred = f"gateway_deferred={entry['gateway_deferred']} " if args.megaconf else ""
         print(
             f"seed {seed}: {status}  injected={sum(entry['injected'].values())} "
             f"retries={entry['retries']} failovers={entry['failovers']} "
-            f"gateway_failovers={entry['gateway_failovers']} "
+            f"gateway_failovers={entry['gateway_failovers']} {deferred}"
             f"errors={len(entry['errors'])} "
             f"delivery_failures={len(entry['delivery_failures'])}"
         )

@@ -23,11 +23,12 @@ clients and the rooms/DB without changing the client protocol:
   per-client homing and route caches, plus the
   :class:`GatewayDirectory` control plane that detects shard and
   gateway failures, orders promotions, and re-homes clients;
-* :mod:`repro.cluster.admission` — the :class:`AdmissionController`
-  guarding each shard's service queue and each gateway's routing queue:
-  priority lanes (control never shed, JOINs deferred before data drops)
-  and typed ``RETRY_AFTER`` bounces so overload degrades into
-  bounded-latency deferral instead of unbounded queueing;
+* :mod:`repro.cluster.admission` — the one admission gate every shard
+  service queue and gateway routing queue is entered through, and the
+  :class:`AdmissionController` policy behind it: priority lanes
+  (control never shed, JOINs deferred before data drops) and typed
+  ``RETRY_AFTER`` bounces so overload degrades into bounded-latency
+  deferral instead of unbounded queueing;
 * :mod:`repro.cluster.config` — :class:`ClusterConfig`, the named
   topology configuration all of the above is built from;
 * :mod:`repro.cluster.harness` — one-call wiring of a whole cluster.

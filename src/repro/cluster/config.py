@@ -34,12 +34,8 @@ class ClusterConfig:
     #: This is the knob that makes gateway scale-out measurable in
     #: benchmark E16.
     route_rate: float | None = None
-    #: Ring replication factor for room op logs.
-    replication_factor: int = 2
     #: Heartbeat silence before a shard or gateway is declared dead.
     failure_timeout: float = 2.0
-    #: Virtual nodes per ring member (shard ring and gateway ring).
-    vnodes: int = 64
     #: Interest management mode ("off" or "cpnet").
     interest_mode: str = "off"
     #: Admission control in front of shard service queues and gateway

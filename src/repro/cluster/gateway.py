@@ -28,15 +28,9 @@ from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.obs.dtrace import HOP_GATEWAY_ROUTE, get_dtrace
 from repro.server.protocol import MessageKind
-from repro.server.session import Session
-from repro.util.backoff import seeded_jitter
+from repro.server.telemetry import TelemetryPublisher
+from repro.util.backoff import RETRY_ATTEMPTS, retry_delay
 from repro.util.ids import IdGenerator
-
-#: Route-retry backoff for ops parked on an unroutable shard: the first
-#: delay, the attempt budget, and the cap on any single delay.
-ROUTE_RETRY_BASE_S = 0.25
-ROUTE_RETRY_ATTEMPTS = 6
-ROUTE_RETRY_MAX_S = 4.0
 
 
 class Gateway:
@@ -74,17 +68,19 @@ class Gateway:
         self._g_sessions = registry.gauge("gateway.sessions_routed")
         self._g_sessions.set(0)
         # Telemetry monitors (same channel the single server offers).
-        self._monitors: dict[str, Session] = {}
-        self._pending_events: list[dict[str, Any]] = []
-        self._telemetry_baseline: dict[str, Any] | None = None
-        self._last_telemetry_at: float | None = None
-        self.telemetry_interval: float = 0.0
+        self.telemetry = TelemetryPublisher(
+            self._ids, lambda: network.clock.now, self._reply
+        )
         network.attach_gateway(self)
 
     # ----- topology ---------------------------------------------------------------
 
     def shard_of_session(self, session_id: str) -> str | None:
         return self._session_route.get(session_id)
+
+    @property
+    def monitor_ids(self) -> tuple[str, ...]:
+        return self.telemetry.session_ids
 
     # ----- network glue -----------------------------------------------------------
 
@@ -106,9 +102,11 @@ class Gateway:
             if kind == MessageKind.ROUTE:
                 self._forward_to_client(message.sender, payload)
             elif kind == MessageKind.MONITOR:
-                self._connect_monitor(payload["viewer_id"], message.sender)
-            elif kind == MessageKind.LEAVE and payload.get("session_id") in self._monitors:
-                self._disconnect_monitor(payload["session_id"])
+                session = self.telemetry.connect(payload["viewer_id"], message.sender)
+                body = {"session_id": session.session_id, "interval": self.telemetry.interval}
+                self._send_framed(message.sender, MessageKind.MONITOR_ACK, body)
+            elif kind == MessageKind.LEAVE and payload.get("session_id") in self.telemetry:
+                self.telemetry.disconnect(payload["session_id"])
             elif kind in MessageKind.CLIENT_KINDS:
                 self._route_client(message.sender, kind, payload, frame=message.frame)
             else:
@@ -125,7 +123,7 @@ class Gateway:
             else:
                 raise
         finally:
-            self.push_telemetry(force=False)
+            self.telemetry.push(force=False)
 
     def _route_client(
         self,
@@ -180,20 +178,19 @@ class Gateway:
         attempt: int,
         frame: Frame | None = None,
     ) -> None:
-        if attempt >= ROUTE_RETRY_ATTEMPTS:
+        if attempt >= RETRY_ATTEMPTS:
             self._m_route_errors.inc()
             self._emit(
                 "gateway.route_gave_up", severity="ERROR",
                 node=sender_node, kind=kind, attempts=attempt,
             )
-            if self.network.has_node(sender_node):
-                body = {
-                    "error": "ClusterError",
-                    "detail": f"no live shard for {kind!r} after {attempt} retries",
-                }
-                self._send_framed(sender_node, MessageKind.ERROR, body)
+            body = {
+                "error": "ClusterError",
+                "detail": f"no live shard for {kind!r} after {attempt} retries",
+            }
+            self._reply(sender_node, MessageKind.ERROR, body)
             return
-        delay = self._route_retry_delay(sender_node, kind, attempt)
+        delay = retry_delay(attempt, self.node_id, sender_node, kind)
         self._m_route_retries.inc()
         self._emit(
             "gateway.route_retry", node=sender_node, kind=kind,
@@ -205,19 +202,6 @@ class Gateway:
                 sender_node, kind, payload, attempt + 1, frame
             ),
         )
-
-    def _route_retry_delay(self, sender_node: str, kind: str, attempt: int) -> float:
-        """Capped exponential backoff with deterministic per-op jitter.
-
-        Uncapped ``base * 2**attempt`` punishes late attempts far past
-        any failover duration, and identical delays make every op parked
-        by the same shard death retry in one synchronized stampede. The
-        cap bounds the wait; the jitter (up to +50%, hashed from the
-        op's identity, never random) spreads the stampede while keeping
-        every run of the simulation bit-reproducible.
-        """
-        delay = min(ROUTE_RETRY_BASE_S * (2.0**attempt), ROUTE_RETRY_MAX_S)
-        return delay * (1.0 + 0.5 * seeded_jitter(self.node_id, sender_node, kind, attempt))
 
     def _route_retry_tick(
         self,
@@ -234,9 +218,8 @@ class Gateway:
             self._route_client(sender_node, kind, payload, attempt=attempt, frame=frame)
         except Exception as exc:
             self._m_route_errors.inc()
-            if self.network.has_node(sender_node):
-                body = {"error": type(exc).__name__, "detail": str(exc)}
-                self._send_framed(sender_node, MessageKind.ERROR, body)
+            body = {"error": type(exc).__name__, "detail": str(exc)}
+            self._reply(sender_node, MessageKind.ERROR, body)
 
     def on_delivery_failed(self, error: Any) -> None:
         """The reliable layer gave up on one of the gateway's frames.
@@ -323,71 +306,17 @@ class Gateway:
         self._session_key.pop(session_id, None)
         self._g_sessions.set(len(self._session_route))
 
-    # ----- telemetry monitors ------------------------------------------------------
-
-    def _connect_monitor(self, viewer_id: str, node_id: str) -> Session:
-        session = Session(
-            session_id=self._ids.next("monitor"),
-            viewer_id=viewer_id,
-            node_id=node_id,
-            kind="monitor",
-        )
-        if not self._monitors:
-            self._events.subscribe(self._on_event)
-            self._telemetry_baseline = self._registry.snapshot()
-        self._monitors[session.session_id] = session
-        self._send_framed(
-            node_id,
-            MessageKind.MONITOR_ACK,
-            {"session_id": session.session_id, "interval": self.telemetry_interval},
-        )
-        return session
-
-    def _disconnect_monitor(self, session_id: str) -> None:
-        self._monitors.pop(session_id, None)
-        if not self._monitors:
-            self._events.unsubscribe(self._on_event)
-            self._pending_events.clear()
-            self._telemetry_baseline = None
-
-    @property
-    def monitor_ids(self) -> tuple[str, ...]:
-        return tuple(self._monitors)
-
-    def _on_event(self, event: Any) -> None:
-        self._pending_events.append(event.to_dict())
-
-    def push_telemetry(self, force: bool = True) -> int:
-        """Push one metric-diff + buffered events to every monitor."""
-        if not self._monitors:
-            return 0
-        now = self.network.clock.now
-        if not force and self._last_telemetry_at is not None:
-            if now - self._last_telemetry_at < self.telemetry_interval:
-                return 0
-        self._last_telemetry_at = now
-        current = self._registry.snapshot()
-        delta = obs.diff(self._telemetry_baseline or {}, current)
-        self._telemetry_baseline = current
-        events, self._pending_events = self._pending_events, []
-        for monitor in self._monitors.values():
-            if not self.network.has_node(monitor.node_id):
-                continue
-            body = {"session_id": monitor.session_id, "at": now, "diff": delta}
-            self._send_framed(monitor.node_id, MessageKind.TELEMETRY, body)
-            for event in events:
-                event_body = {"session_id": monitor.session_id, "event": event}
-                self._send_framed(
-                    monitor.node_id, MessageKind.TELEMETRY_EVENT, event_body
-                )
-        return len(self._monitors)
-
     # ----- misc ---------------------------------------------------------------------
 
     def _send_framed(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
         """Encode once and send; the frame carries its own honest size."""
         frame = encode_message(kind, body)
         self.network.send(self.node_id, recipient, kind, payload=body, frame=frame)
+
+    def _reply(self, recipient: str, kind: str, body: dict[str, Any]) -> None:
+        """Send to a client node, unless it has already gone away."""
+        if self.network.has_node(recipient):
+            self._send_framed(recipient, kind, body)
 
     def _emit(self, name: str, severity: str = "INFO", **fields: Any) -> None:
         self._events.emit(name, severity=severity, at=self.network.clock.now, **fields)
@@ -397,5 +326,5 @@ class Gateway:
             "shards": sorted(self._shards),
             "dead": sorted(self._dead),
             "sessions_routed": len(self._session_route),
-            "monitors": len(self._monitors),
+            "monitors": len(self.telemetry),
         }

@@ -10,8 +10,9 @@ gateway nodes in front of the shard fleet:
   sniffing ``JOIN_ACK`` responses. Steady-state room traffic flows
   client → gateway → shard with zero directory hops; a cache miss parks
   the op and resolves it with one ``ROUTE_LOOKUP`` round trip. An
-  optional ``route_rate`` service queue models finite routing capacity,
-  which is what makes multi-gateway scale-out measurable (E16).
+  optional ``route_rate`` service queue, entered through an admission
+  gate, models finite routing capacity, which is what makes
+  multi-gateway scale-out measurable (E16).
 * :class:`GatewayDirectory` — the control plane. It assigns clients to
   gateways by consistent hash over client node ids (the same ring
   machinery that shards rooms), keeps the authoritative session→shard
@@ -22,7 +23,7 @@ gateway nodes in front of the shard fleet:
   clients are re-homed onto the ring's surviving owner, and each
   client's ``on_gateway_failover`` hook replays its parked ops through
   the new home (the shard-side per-session ``op_seq`` dedup keeps the
-  replay exactly-once).
+  replay exactly-once); the shards resync the moved clients' sessions.
 
 The directory itself stays off the data path — after the lookup that
 fills a cache entry, it sees only reports and heartbeats — and is the
@@ -36,13 +37,7 @@ from typing import Any
 
 from repro import obs
 from repro.errors import ClusterError
-from repro.cluster.admission import (
-    DEFER,
-    SHED,
-    AdmissionConfig,
-    AdmissionController,
-    retry_after_body,
-)
+from repro.cluster.admission import AdmissionConfig, AdmissionGate
 from repro.cluster.failover import FailureDetector, schedule_periodic
 from repro.cluster.gateway import Gateway
 from repro.cluster.ring import HashRing
@@ -51,7 +46,7 @@ from repro.net.codec import Frame, StringInterner, encode_message
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.obs import LATENCY_BUCKETS
-from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_QUEUE, HOP_SHED_WAIT
+from repro.obs.dtrace import HOP_DIRECTORY_LOOKUP, HOP_GATEWAY_QUEUE
 from repro.server.protocol import MessageKind
 
 
@@ -70,18 +65,14 @@ class GatewayNode(Gateway):
         super().__init__(network, ring=ring, node_id=node_id)
         self.directory_id = directory_id
         self.alive = True
-        self._route_queue = (
-            ServiceQueue(network.clock, route_rate) if route_rate is not None else None
+        # Only a routing-capacity model gets a queue and a gate: with
+        # none, every message dispatches at arrival.
+        self.queue = None if route_rate is None else ServiceQueue(network.clock, route_rate)
+        self._gate = None if self.queue is None else AdmissionGate(
+            node_id, network, self.queue, admission,
+            hop=HOP_GATEWAY_QUEUE, bounce=self._reply,
         )
-        # Admission needs a measurable queue: with no routing-capacity
-        # model every message dispatches at arrival and depth is always
-        # zero, so the gate would never trip anyway.
-        self.admission: AdmissionController | None = None
-        if admission is not None and self._route_queue is not None:
-            self.admission = AdmissionController(
-                node_id, self._route_queue, admission, self._resume_deferred
-            )
-            self._route_queue.on_drain = self.admission.pump
+        self.admission = self._gate.controller if self._gate else None
         #: ops parked on a route-cache miss: session -> FIFO of
         #: (sender, kind, payload, frame, trace ctx, parked-at time).
         self._route_waiting: dict[str, list[tuple[Any, ...]]] = {}
@@ -145,63 +136,12 @@ class GatewayNode(Gateway):
         if kind == MessageKind.ROUTE_INVALIDATE:
             self._on_route_invalidate(payload)
             return
-        if self._route_queue is not None and self._is_data_plane(kind, payload):
-            # Only client-originated kinds face admission lanes: ROUTE
-            # envelopes from shards are responses already paid for, and
-            # shedding them would strand acked server state.
-            if self.admission is not None and kind in MessageKind.CLIENT_KINDS:
-                session_id = payload.get("session_id")
-                decision = self.admission.admit(
-                    kind, session_id=session_id, op_seq=payload.get("op_seq")
-                )
-                if decision.action == DEFER:
-                    ctx = self._dtrace.current() if self._dtrace.enabled else None
-                    self.admission.park((message, ctx))
-                    return
-                if decision.action == SHED:
-                    self._send_retry_after(
-                        message.sender, kind, payload, decision.retry_after_s
-                    )
-                    return
-                if kind == MessageKind.LEAVE:
-                    self.admission.forget_session(session_id)
-            self._enqueue(message)
+        if self._gate is not None and self._is_data_plane(kind, payload):
+            self._gate.submit(
+                message.sender, kind, payload, lambda: self._serve_queued(message)
+            )
             return
         super().receive(message)
-
-    def _resume_deferred(self, item: tuple[Message, Any], parked_at: float) -> None:
-        """Pump callback: re-enter one deferred JOIN into the route queue."""
-        message, ctx = item
-        if not self.alive:
-            return
-        if not self.network.has_node(message.sender):
-            # The parked client is gone: drop with zero residue.
-            self.admission.drop_parked()
-            self._emit(
-                "gateway.admission.deferred_dropped",
-                node=message.sender, kind=message.kind,
-            )
-            return
-        if ctx is not None:
-            advanced = self._dtrace.record_hop(
-                ctx, HOP_SHED_WAIT, self.node_id, parked_at,
-                self.network.clock.now, kind=message.kind,
-            )
-            with self._dtrace.inbound(advanced):
-                self._enqueue(message)
-        else:
-            self._enqueue(message)
-
-    def _send_retry_after(
-        self, sender: str, kind: str, payload: dict[str, Any], after_s: float
-    ) -> None:
-        """Bounce one shed client op straight back with a backoff hint."""
-        body = retry_after_body(kind, payload, after_s, self.node_id)
-        self._emit(
-            "gateway.admission.shed", node=sender, kind=kind, after_s=after_s
-        )
-        if self.network.has_node(sender):
-            self._send_framed(sender, MessageKind.RETRY_AFTER, body)
 
     def _is_data_plane(self, kind: str, payload: dict[str, Any]) -> bool:
         """Envelopes that pay the routing-capacity cost (not control)."""
@@ -209,35 +149,13 @@ class GatewayNode(Gateway):
             return True
         if kind == MessageKind.MONITOR:
             return False
-        if kind == MessageKind.LEAVE and payload.get("session_id") in self._monitors:
+        if kind == MessageKind.LEAVE and payload.get("session_id") in self.telemetry:
             return False
         return kind in MessageKind.CLIENT_KINDS
 
-    def _enqueue(self, message: Message) -> None:
-        """Pay the routing service cost, then dispatch as usual.
-
-        Mirrors the shard's traced dispatch: the wait between enqueue
-        and dispatch becomes a ``gateway_queue`` span so the critical-
-        path analyzer can attribute time lost to gateway saturation.
-        """
-        dtrace = self._dtrace
-        ctx = dtrace.current() if dtrace.enabled else None
-        enqueued = self.network.clock.now
-
-        def work() -> None:
-            if not self.alive:
-                return
-            if ctx is not None:
-                advanced = dtrace.record_hop(
-                    ctx, HOP_GATEWAY_QUEUE, self.node_id, enqueued,
-                    self.network.clock.now, kind=message.kind,
-                )
-                with dtrace.inbound(advanced):
-                    Gateway.receive(self, message)
-            else:
-                Gateway.receive(self, message)
-
-        self._route_queue.submit(work)
+    def _serve_queued(self, message: Message) -> None:
+        if self.alive:
+            Gateway.receive(self, message)
 
     # ----- route cache ------------------------------------------------------------
 
@@ -299,12 +217,11 @@ class GatewayNode(Gateway):
         if shard is None:
             for sender_node, kind, _p, _f, _ctx, _at in waiting:
                 self._m_route_errors.inc()
-                if self.network.has_node(sender_node):
-                    body = {
-                        "error": "ClusterError",
-                        "detail": f"no shard owns session {session_id!r}",
-                    }
-                    self._send_framed(sender_node, MessageKind.ERROR, body)
+                body = {
+                    "error": "ClusterError",
+                    "detail": f"no shard owns session {session_id!r}",
+                }
+                self._reply(sender_node, MessageKind.ERROR, body)
             return
         key = payload.get("key")
         self._session_route[session_id] = shard
@@ -387,8 +304,8 @@ class GatewayNode(Gateway):
         base = super().stats()
         base["route_cache"] = self.route_cache_stats()
         base["alive"] = self.alive
-        if self._route_queue is not None:
-            base["queue_max_pending"] = self._route_queue.max_pending
+        if self.queue is not None:
+            base["queue_max_pending"] = self.queue.max_pending
         if self.admission is not None:
             base["admission"] = self.admission.stats()
         return base
@@ -583,28 +500,37 @@ class GatewayDirectory:
         # Re-home every stranded client onto the ring's surviving owner,
         # then let it replay: the network homing must change *before*
         # the client's failover hook starts re-sending.
-        moved = 0
+        moved: list[str] = []
         for node_id in sorted(self._clients):
             if self.network.home_of(node_id) != gateway_id:
                 continue
             new_home = self.gateway_ring.owner(node_id)
             self.network.assign_home(node_id, new_home)
-            moved += 1
+            moved.append(node_id)
             hook = getattr(self._clients[node_id], "on_gateway_failover", None)
             if hook is not None:
                 hook(new_home)
+        # Responses the dead gateway had accepted but not yet forwarded
+        # (its route queue) died with it: every shard re-sends the
+        # current outcome to the moved clients' sessions.
+        for shard_id in self.live_shards:
+            if self.network.has_node(shard_id):
+                self._send_framed(
+                    shard_id, MessageKind.ROUTE_INVALIDATE,
+                    {"gateway": gateway_id, "nodes": moved},
+                )
         duration = now - (last_beat if last_beat is not None else now)
         self._h_gw_failover.observe(duration)
         self.gateway_failovers.append(
             {
                 "gateway": gateway_id,
-                "clients": moved,
+                "clients": len(moved),
                 "last_beat": last_beat,
                 "completed": now,
             }
         )
         self._emit(
-            "cluster.gateway_failover_complete", gateway=gateway_id, clients=moved
+            "cluster.gateway_failover_complete", gateway=gateway_id, clients=len(moved)
         )
 
     def _on_shard_ack(self, shard_id: str, payload: dict[str, Any]) -> None:

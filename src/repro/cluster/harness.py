@@ -48,8 +48,8 @@ class ClusterHarness:
             self.network = ChaosNetwork(clock, reliability=reliability, plan=plan)
         else:
             self.network = SimulatedNetwork(clock, reliability=reliability)
-        self.ring = HashRing(vnodes=config.vnodes)
-        self.gateway_ring = HashRing(vnodes=config.vnodes)
+        self.ring = HashRing()
+        self.gateway_ring = HashRing()
         self.shards: dict[str, ShardServer] = {}
         self.clients: dict[str, ClientModule] = {}
         self.gateways: dict[str, GatewayNode] = {}
@@ -97,7 +97,6 @@ class ClusterHarness:
             self.gateway_ring,
             policy=self._policy,
             service_rate=self.config.service_rate,
-            replication_factor=self.config.replication_factor,
             interest_mode=self.config.interest_mode,
             batch_window_s=self.config.batch_window_s,
             admission=self.config.admission,

@@ -112,8 +112,8 @@ class ReplicaState:
         self.primary_id = primary_id
         self.applied_seq = 0
         self.promoted = False
-        #: every entry applied, in order — at promotion this becomes the
-        #: new primary's room history (so *it* can bootstrap replicas).
+        #: every entry applied to a still-open room, in order — at promotion
+        #: the new primary's room history (so *it* can bootstrap replicas).
         self.applied_log: list[LogEntry] = []
         self._pending: dict[int, LogEntry] = {}  # out-of-order buffer
         self._on_gap = on_gap
@@ -144,6 +144,9 @@ class ReplicaState:
             self._apply(nxt)
             self.applied_seq = nxt.seq
             self.applied_log.append(nxt)
+            if nxt.op == "leave" and not self.server.hosts_document(nxt.room_key):
+                # The room closed with its last member: drop its history.
+                self.applied_log = [e for e in self.applied_log if e.room_key != nxt.room_key]
             applied += 1
         return applied
 

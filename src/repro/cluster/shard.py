@@ -17,13 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro import obs
-from repro.cluster.admission import (
-    DEFER,
-    SHED,
-    AdmissionConfig,
-    AdmissionController,
-    retry_after_body,
-)
+from repro.cluster.admission import AdmissionConfig, AdmissionController, AdmissionGate
 from repro.cluster.replication import LogEntry, ReplicaState, ShipLog
 from repro.cluster.ring import HashRing
 from repro.cluster.failover import schedule_periodic
@@ -36,10 +30,11 @@ from repro.net.codec import Frame, StringInterner, encode_message, stamp_frame
 from repro.net.message import Message
 from repro.net.network import SimulatedNetwork
 from repro.net.simclock import SimClock
-from repro.obs.dtrace import HOP_SHARD_QUEUE, HOP_SHED_WAIT, TraceContext, get_dtrace
+from repro.obs.dtrace import HOP_SHARD_QUEUE, get_dtrace
 from repro.server.interaction import InteractionServer
 from repro.server.permissions import PermissionPolicy
 from repro.server.protocol import MessageKind
+from repro.util.backoff import RETRY_ATTEMPTS, retry_delay
 from repro.util.failpoints import get_failpoints
 
 #: client message kind -> replicated op name (None = read-only, not logged)
@@ -58,11 +53,8 @@ _REPLICATED_OPS = {
     MessageKind.UNSUBSCRIBE: "unsubscribe",
 }
 
-#: backoff for client-bound envelopes whose gateway is temporarily gone
-#: (crashed but not yet swept): 0.25 * 2^attempt seconds, then give up.
-#: Six attempts span ~15.75 s — comfortably past detection + re-homing.
-CLIENTBOUND_RETRY_BASE_S = 0.25
-CLIENTBOUND_RETRY_ATTEMPTS = 6
+#: Shards per room: the primary plus one standby replica.
+REPLICATION_FACTOR = 2
 
 
 class ServiceQueue:
@@ -73,11 +65,8 @@ class ServiceQueue:
     the server for ``1/rate`` simulated seconds, FIFO — the shard-side
     twin of what :class:`~repro.net.link.Link` does for wires.
 
-    The queue tracks its own depth (``pending``, high-water
-    ``max_pending``) and exposes an ``on_drain`` hook fired after each
-    dispatched op — the seam admission control pumps deferred work
-    through. With ``on_drain`` unset the timing behaviour is identical
-    to the untracked queue.
+    The queue tracks its own depth: ``pending`` counts ops submitted but
+    not yet started, ``max_pending`` is its high-water mark.
     """
 
     def __init__(self, clock: SimClock, rate: float | None = None) -> None:
@@ -88,7 +77,6 @@ class ServiceQueue:
         self._busy_until = 0.0
         self.pending = 0
         self.max_pending = 0
-        self.on_drain = None
 
     def submit(self, work) -> None:
         self.pending += 1
@@ -102,29 +90,12 @@ class ServiceQueue:
         self._clock.schedule_at(self._busy_until, lambda: self._run(work))
 
     def _run(self, work) -> None:
-        try:
-            work()
-        finally:
-            self.pending -= 1
-            if self.on_drain is not None:
-                self.on_drain()
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
-
-    @property
-    def clock(self) -> SimClock:
-        return self._clock
+        self.pending -= 1
+        work()
 
     @property
     def rate(self) -> float | None:
         return self._rate
-
-    @property
-    def wait_s(self) -> float:
-        """Simulated seconds of backlog already committed to the server."""
-        return max(0.0, self._busy_until - self._clock.now)
 
 
 class _GatewayTransport:
@@ -189,7 +160,6 @@ class ShardServer:
         gateway_ring: HashRing,
         policy: PermissionPolicy | None = None,
         service_rate: float | None = None,
-        replication_factor: int = 2,
         interest_mode: str = "off",
         batch_window_s: float = 0.0,
         admission: AdmissionConfig | None = None,
@@ -202,7 +172,6 @@ class ShardServer:
         # Client-bound envelopes resolve their gateway per client here.
         self._gateway_ring = gateway_ring
         self.alive = True
-        self.replication_factor = replication_factor
         self._store = store
         self._policy = policy
         self._interest_mode = interest_mode
@@ -212,12 +181,13 @@ class ShardServer:
             interest_mode=interest_mode, batch_window_s=batch_window_s,
         )
         self.queue = ServiceQueue(network.clock, service_rate)
-        self.admission: AdmissionController | None = None
-        if admission is not None:
-            self.admission = AdmissionController(
-                shard_id, self.queue, admission, self._resume_deferred
-            )
-            self.queue.on_drain = self.admission.pump
+        # Every client op enters through the gate; a shed op bounces
+        # back through the client's gateway like any response.
+        self._gate = AdmissionGate(
+            shard_id, network, self.queue, admission,
+            hop=HOP_SHARD_QUEUE, bounce=self.route_to_client,
+        )
+        self.admission: AdmissionController | None = self._gate.controller
         self._ship: dict[str, ShipLog] = {}          # replica shard -> log
         self._replicas: dict[str, ReplicaState] = {}  # primary shard -> standby
         self._promoted: dict[str, InteractionServer] = {}
@@ -298,119 +268,28 @@ class ShardServer:
             return
         payload = message.payload or {}
         if message.kind == MessageKind.ROUTE:
-            sender = payload["sender"]
-            kind = payload["kind"]
-            inner = payload["payload"]
-            ctx = self._dtrace.current() if self._dtrace.enabled else None
-            if self.admission is not None:
-                session_id = inner.get("session_id") if isinstance(inner, dict) else None
-                op_seq = inner.get("op_seq") if isinstance(inner, dict) else None
-                decision = self.admission.admit(
-                    kind, session_id=session_id, op_seq=op_seq
-                )
-                if decision.action == DEFER:
-                    self.admission.park((sender, kind, inner, ctx))
-                    return
-                if decision.action == SHED:
-                    self._send_retry_after(sender, kind, inner, decision.retry_after_s)
-                    return
-                if kind == MessageKind.LEAVE:
-                    self.admission.forget_session(session_id)
-            self._submit_client(ctx, sender, kind, inner)
+            sender, kind, inner = payload["sender"], payload["kind"], payload["payload"]
+            self._gate.submit(
+                sender, kind, inner, lambda: self._handle_client(sender, kind, inner)
+            )
         elif message.kind == MessageKind.REPLICATE:
             self._handle_replicate(message.sender, payload)
         elif message.kind == MessageKind.ACK:
             self._handle_ack(message.sender, payload)
         elif message.kind == MessageKind.PROMOTE:
             self._handle_promote(payload["primary"])
+        elif message.kind == MessageKind.ROUTE_INVALIDATE:
+            self._resync_nodes(payload["nodes"])
         else:
-            raise_kind = message.kind
             self._events.emit(
                 "cluster.shard_bad_kind",
                 severity="ERROR",
                 at=self.network.clock.now,
                 shard=self.node_id,
-                kind=raise_kind,
+                kind=message.kind,
             )
 
     # ----- client ops -------------------------------------------------------------
-
-    def _submit_client(
-        self,
-        ctx: TraceContext | None,
-        sender: str,
-        kind: str,
-        inner: dict[str, Any],
-    ) -> None:
-        if ctx is not None:
-            # The service queue may dispatch much later than arrival;
-            # capture the context now so the queueing span covers the
-            # whole enqueue→dispatch wait.
-            enqueued = self.network.clock.now
-            self.queue.submit(
-                lambda: self._dispatch_client(ctx, enqueued, sender, kind, inner)
-            )
-        else:
-            self.queue.submit(lambda: self._handle_client(sender, kind, inner))
-
-    def _resume_deferred(self, item: tuple[str, str, Any, Any], parked_at: float) -> None:
-        """Pump callback: re-enter one deferred JOIN into the dispatch path."""
-        sender, kind, inner, ctx = item
-        if not self.alive:
-            return
-        if not self.network.has_node(sender):
-            # The parked client departed (crash or gateway re-home swept
-            # it away) before capacity freed up: drop with zero residue —
-            # nothing was applied, so there is nothing to clean up.
-            self.admission.drop_parked()
-            self._events.emit(
-                "cluster.admission.deferred_dropped",
-                at=self.network.clock.now,
-                shard=self.node_id,
-                node=sender,
-                kind=kind,
-            )
-            return
-        if ctx is not None:
-            ctx = self._dtrace.record_hop(
-                ctx, HOP_SHED_WAIT, self.node_id, parked_at,
-                self.network.clock.now, kind=kind,
-            )
-        self._submit_client(ctx, sender, kind, inner)
-
-    def _send_retry_after(
-        self, sender: str, kind: str, inner: dict[str, Any], after_s: float
-    ) -> None:
-        """Bounce one shed op back to its client with a backoff hint."""
-        body = retry_after_body(kind, inner, after_s, self.node_id)
-        self._events.emit(
-            "cluster.admission.shed",
-            at=self.network.clock.now,
-            shard=self.node_id,
-            node=sender,
-            kind=kind,
-            after_s=after_s,
-        )
-        self._send_clientbound(
-            sender, MessageKind.RETRY_AFTER, body, 0, None, attempt=0
-        )
-
-    def _dispatch_client(
-        self,
-        ctx: TraceContext,
-        enqueued: float,
-        sender_node: str,
-        kind: str,
-        payload: dict[str, Any],
-    ) -> None:
-        """Traced dispatch: record the service-queue wait, then serve."""
-        dtrace = self._dtrace
-        advanced = dtrace.record_hop(
-            ctx, HOP_SHARD_QUEUE, self.node_id, enqueued,
-            self.network.clock.now, kind=kind,
-        )
-        with dtrace.inbound(advanced):
-            self._handle_client(sender_node, kind, payload)
 
     def _handle_client(self, sender_node: str, kind: str, payload: dict[str, Any]) -> None:
         if not self.alive:
@@ -454,8 +333,13 @@ class ShardServer:
         if any(k == MessageKind.ERROR for k, _ in captured):
             return
         if session_id is not None and op_seq is not None:
-            self._op_seen[session_id] = op_seq
-        self._replicate_op(sender_node, kind, payload, captured)
+            if kind == MessageKind.LEAVE:
+                # The session is gone: nothing of it can replay here
+                # (the client drops a left session's backlog).
+                self._op_seen.pop(session_id, None)
+            else:
+                self._op_seen[session_id] = op_seq
+        self._replicate_op(target, sender_node, kind, payload, captured)
 
     def _server_for(self, kind: str, payload: dict[str, Any]) -> InteractionServer:
         """Pick the serving instance: the primary, or a promoted takeover."""
@@ -479,7 +363,7 @@ class ShardServer:
         recipient: str,
         kind: str,
         payload: Any,
-        size_bytes: int,
+        size_bytes: int = 0,
         frame: Frame | None = None,
     ) -> None:
         """Wrap one server→client send into a ROUTE envelope to the gateway."""
@@ -538,7 +422,7 @@ class ShardServer:
         frame: Frame | None,
         attempt: int,
     ) -> None:
-        if attempt >= CLIENTBOUND_RETRY_ATTEMPTS:
+        if attempt >= RETRY_ATTEMPTS:
             self._events.emit(
                 "cluster.clientbound_gave_up",
                 severity="WARN",
@@ -549,13 +433,26 @@ class ShardServer:
                 attempts=attempt,
             )
             return
-        delay = CLIENTBOUND_RETRY_BASE_S * (2.0**attempt)
+        delay = retry_delay(attempt, self.node_id, recipient, kind)
+        self._events.emit(
+            "cluster.clientbound_retry", at=self.network.clock.now,
+            shard=self.node_id, node=recipient, kind=kind, delay=delay,
+        )
         self.network.clock.schedule(
             delay,
             lambda: self._send_clientbound(
                 recipient, kind, payload, size_bytes, frame, attempt + 1
             ),
         )
+
+    def _resync_nodes(self, nodes: list[str]) -> None:
+        """A gateway died, maybe holding queued responses: resync the
+        sessions of its re-homed client *nodes* (as a fenced replay)."""
+        moved = set(nodes)
+        for server in self.serving_servers():
+            for session_id in server.session_ids:
+                if server.session(session_id).node_id in moved:
+                    server.resync_session(session_id)
 
     def observe_standby_send(self, kind: str, size_bytes: int) -> None:
         """Standby replicas swallow propagation; count what never hit a wire."""
@@ -567,6 +464,7 @@ class ShardServer:
 
     def _replicate_op(
         self,
+        target: InteractionServer,
         sender_node: str,
         kind: str,
         payload: dict[str, Any],
@@ -610,10 +508,16 @@ class ShardServer:
             entries.append(log.append(now, room_key, op, data))
             self._ship_entries(replica_id, log, entries)
         history.append((op, data))
+        if op == "leave" and not target.hosts_document(room_key):
+            # The last member left and the room closed: a reopen starts
+            # from genesis, so its history and bootstrap marks go too.
+            del self._room_history[room_key]
+            for seen in self._replica_rooms.values():
+                seen.discard(room_key)
 
     def replicas_for(self, room_key: str) -> list[str]:
         """Live replica shards for one room, per the ring preference list."""
-        owners = self.ring.owners(room_key, self.replication_factor)
+        owners = self.ring.owners(room_key, REPLICATION_FACTOR)
         return [
             node
             for node in owners[1:]
@@ -758,7 +662,7 @@ class ShardServer:
                 # racing a promotion cannot double-apply.
                 op_seq = entry.data.get("op_seq")
                 entry_session = entry.data.get("session_id")
-                if op_seq is not None and entry_session is not None:
+                if op_seq is not None and server.has_session(entry_session):
                     if op_seq > self._op_seen.get(entry_session, 0):
                         self._op_seen[entry_session] = op_seq
             for session_id in server.session_ids:

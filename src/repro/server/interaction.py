@@ -45,6 +45,7 @@ from repro.server.permissions import (
 from repro.server.protocol import MessageKind, encoded_size
 from repro.server.room import Room
 from repro.server.session import Session
+from repro.server.telemetry import TelemetryPublisher
 from repro.util.ids import IdGenerator
 
 
@@ -60,7 +61,6 @@ class InteractionServer:
         diff_propagation: bool = True,
         use_profiles: bool = False,
         batch_window_s: float = 0.0,
-        batch_max_bytes: int = 4096,
         interest_mode: str = "off",
     ) -> None:
         if interest_mode not in ("off", "cpnet"):
@@ -129,24 +129,16 @@ class InteractionServer:
         self._g_rooms.set(0)
         self._g_occupancy.set(0)
         self._g_monitors.set(0)
-        # Telemetry monitors: pushed metric diffs + buffered events,
-        # throttled to at most one push per `telemetry_interval` clock
-        # seconds (0 = push on every server activity).
-        self._monitors: dict[str, Session] = {}
-        self._pending_events: list[dict[str, Any]] = []
-        self._telemetry_baseline: dict[str, Any] | None = None
-        self._last_telemetry_at: float | None = None
-        self.telemetry_interval: float = 0.0
+        self.telemetry = TelemetryPublisher(
+            self._ids, self._now, self._net_send if network is not None else None
+        )
         from repro.server.triggers import TriggerManager
 
         self.triggers = TriggerManager()
         # Outbound coalescing (repro.net.batch): window 0 = pass-through,
         # byte-identical to the unbatched server. E13 opts in.
         self._batcher: Batcher | None = (
-            Batcher(
-                network, node_id,
-                window_s=batch_window_s, max_bytes=batch_max_bytes,
-            )
+            Batcher(network, node_id, window_s=batch_window_s)
             if network is not None
             else None
         )
@@ -176,7 +168,7 @@ class InteractionServer:
         return session
 
     def disconnect_session(self, session_id: str) -> None:
-        if session_id in self._monitors:
+        if session_id in self.telemetry:
             # Monitors connect through the same protocol surface; a
             # generic disconnect must tear down their telemetry hooks,
             # not error out on the regular session table.
@@ -752,79 +744,31 @@ class InteractionServer:
     # ----- telemetry monitors ----------------------------------------------------------
 
     def connect_monitor(self, viewer_id: str, node_id: str | None = None) -> Session:
-        """Register a telemetry monitor session (the paper's machinery,
-        watching itself): it receives metric-diff snapshots and flight
-        recorder events as ``TELEMETRY`` / ``TELEMETRY_EVENT`` messages,
-        pushed after server activity (at most one push per
-        ``telemetry_interval`` clock seconds).
-        """
-        session = Session(
-            session_id=self._ids.next("monitor"),
-            viewer_id=viewer_id,
-            node_id=node_id if node_id is not None else viewer_id,
-            kind="monitor",
+        """Register a telemetry monitor session (see :class:`TelemetryPublisher`)."""
+        session = self.telemetry.connect(
+            viewer_id, node_id if node_id is not None else viewer_id
         )
-        if not self._monitors:
-            # Lazy subscribe: servers without monitors cost the recorder
-            # nothing, and dead servers don't accumulate pending events.
-            self._events.subscribe(self._on_event)
-            self._telemetry_baseline = self._registry.snapshot()
-        self._monitors[session.session_id] = session
-        self._g_monitors.set(len(self._monitors))
+        self._g_monitors.set(len(self.telemetry))
         self._emit("server.monitor_join", monitor=session.session_id, viewer=viewer_id)
         return session
 
     def disconnect_monitor(self, session_id: str) -> None:
-        monitor = self._monitors.pop(session_id, None)
-        if monitor is None:
+        if not self.telemetry.disconnect(session_id):
             raise ServerError(f"unknown monitor session {session_id!r}")
-        self._g_monitors.set(len(self._monitors))
-        if not self._monitors:
-            self._events.unsubscribe(self._on_event)
-            self._pending_events.clear()
-            self._telemetry_baseline = None
+        self._g_monitors.set(len(self.telemetry))
 
     @property
     def monitor_ids(self) -> tuple[str, ...]:
-        return tuple(self._monitors)
+        return self.telemetry.session_ids
 
-    def _on_event(self, event: Any) -> None:
-        self._pending_events.append(event.to_dict())
+    @property
+    def telemetry_interval(self) -> float:
+        return self.telemetry.interval
 
     def push_telemetry(self, force: bool = True) -> int:
-        """Send one metric-diff snapshot + buffered events to every monitor.
-
-        Returns the number of monitors reached. Called automatically
-        after networked activity; call directly (or via a trigger) in
-        direct mode. With ``force=False`` the ``telemetry_interval``
-        throttle applies.
-        """
-        if not self._monitors:
-            return 0
-        now = self._now()
-        if not force and self._last_telemetry_at is not None:
-            if now - self._last_telemetry_at < self.telemetry_interval:
-                return 0
-        self._last_telemetry_at = now
-        current = self._registry.snapshot()
-        delta = obs.diff(self._telemetry_baseline or {}, current)
-        self._telemetry_baseline = current
-        events, self._pending_events = self._pending_events, []
-        for monitor in self._monitors.values():
-            if self.network is None:
-                continue
-            self._net_send(
-                monitor.node_id,
-                MessageKind.TELEMETRY,
-                {"session_id": monitor.session_id, "at": now, "diff": delta},
-            )
-            for event in events:
-                self._net_send(
-                    monitor.node_id,
-                    MessageKind.TELEMETRY_EVENT,
-                    {"session_id": monitor.session_id, "event": event},
-                )
-        return len(self._monitors)
+        """Push telemetry to every monitor now; called automatically after
+        networked activity (with ``force=False``, throttled)."""
+        return self.telemetry.push(force)
 
     def _net_send(
         self,
@@ -922,10 +866,7 @@ class InteractionServer:
             else:
                 raise
         finally:
-            # Telemetry rides on server activity (a scheduled tick would
-            # keep the simulated clock alive forever); the interval
-            # throttle bounds the cost under load.
-            self.push_telemetry(force=False)
+            self.telemetry.push(force=False)
 
     def _dispatch(self, sender_node: str, kind: str, payload: dict[str, Any]) -> None:
         if kind == MessageKind.JOIN:
@@ -956,13 +897,13 @@ class InteractionServer:
                     MessageKind.MONITOR_ACK,
                     {
                         "session_id": session.session_id,
-                        "interval": self.telemetry_interval,
+                        "interval": self.telemetry.interval,
                     },
                 )
             return
         session_id = payload["session_id"]
         if kind == MessageKind.LEAVE:
-            if session_id in self._monitors:
+            if session_id in self.telemetry:
                 self.disconnect_monitor(session_id)
             else:
                 self.disconnect_session(session_id)

@@ -195,9 +195,10 @@ def _latency_summary(samples: list[float]) -> dict[str, Any]:
 
 
 def _admission_totals(harness: ClusterHarness) -> dict[str, Any]:
+    gateways = [gw.admission for gw in harness.gateways.values() if gw.admission]
     controllers = [
         shard.admission for shard in harness.shards.values() if shard.admission
-    ] + [gw.admission for gw in harness.gateways.values() if gw.admission]
+    ] + gateways
     shed_by_lane: dict[str, int] = {}
     for controller in controllers:
         for lane, count in controller.shed_by_lane.items():
@@ -205,6 +206,7 @@ def _admission_totals(harness: ClusterHarness) -> dict[str, Any]:
     return {
         "accepted": sum(c.accepted for c in controllers),
         "deferred": sum(c.deferred for c in controllers),
+        "gateway_deferred": sum(c.deferred for c in gateways),
         "shed": sum(c.shed for c in controllers),
         "resumed": sum(c.resumed for c in controllers),
         "dropped_dead": sum(c.dropped_dead for c in controllers),
@@ -221,8 +223,8 @@ def _queue_depths(harness: ClusterHarness) -> dict[str, int]:
         for shard_id, shard in harness.shards.items()
     }
     for gateway_id, gateway in harness.gateways.items():
-        if gateway._route_queue is not None:
-            depths[gateway_id] = gateway._route_queue.max_pending
+        if gateway.queue is not None:
+            depths[gateway_id] = gateway.queue.max_pending
     return depths
 
 
@@ -368,9 +370,10 @@ def run_megaconf_convergence(
     owning shard) opens exactly over the keynote join window, and with
     ``gateway_crash=True`` that same gateway fail-stops mid-keynote —
     after the join wave has acked, so the failover replay (not a
-    pending-join race) is what heals the crowd. Admission control is ON
-    with a shed threshold high enough that only JOIN deferral engages:
-    the flash crowd is absorbed by bounded deferral in both runs.
+    pending-join race) is what heals the crowd. Admission control is ON,
+    at the shards and at the gateways, with a shed threshold high enough
+    that only JOIN deferral engages: the flash crowd is absorbed by
+    bounded deferral in both runs.
     """
     schedule = build_conference_schedule(
         tracks=2,
@@ -383,13 +386,15 @@ def run_megaconf_convergence(
         events_per_session=2,
         keynote_events=3 if quick else 5,
     )
-    # service_rate vs the keynote wave is tuned so JOIN deferral really
-    # engages (arrivals outpace 20 ops/s over the 0.1 s window) while
+    # service_rate and route_rate vs the keynote wave are tuned so JOIN
+    # deferral really engages (arrivals outpace each gateway's 12
+    # envelopes/s and the shards' 20 ops/s over the 0.1 s window) while
     # track-phase traffic clears the depth-2 threshold untouched.
     config = ClusterConfig(
         shards=3,
         gateways=2,
         service_rate=20.0,
+        route_rate=12.0,
         failure_timeout=failure_timeout,
         admission=AdmissionConfig(
             depth_defer=2,

@@ -19,14 +19,15 @@ from repro.cluster.admission import (
     LANE_JOIN,
     SHED,
     AdmissionController,
+    AdmissionGate,
     retry_after_body,
 )
-from repro.cluster.gateway import ROUTE_RETRY_MAX_S
 from repro.cluster.shard import ServiceQueue
 from repro.db import Database, MultimediaObjectStore
+from repro.net import SimulatedNetwork
 from repro.net.simclock import SimClock
 from repro.server.protocol import MessageKind
-from repro.util.backoff import seeded_jitter
+from repro.util.backoff import RETRY_ATTEMPTS, RETRY_MAX_S, retry_delay, seeded_jitter
 from repro.workloads import consultation_events, generate_record
 
 
@@ -52,19 +53,34 @@ def build_store(tmp_path, name, docs=("case-0",)):
     return store, records
 
 
-def make_controller(rate=1.0, resume=None, **cfg):
+def make_controller(rate=1.0, **cfg):
     """A controller on a real rated ServiceQueue and its own clock."""
     clock = SimClock()
     queue = ServiceQueue(clock, rate=rate)
-    resumed = []
-    controller = AdmissionController(
-        "shard-t",
-        queue,
-        AdmissionConfig(**cfg),
-        resume if resume is not None else (lambda item, at: resumed.append(item)),
+    controller = AdmissionController("shard-t", queue, AdmissionConfig(**cfg))
+    return clock, queue, controller
+
+
+class _Node:
+    def __init__(self, node_id):
+        self.node_id = node_id
+
+    def receive(self, message):
+        pass
+
+
+def make_gate(rate=1.0, **cfg):
+    """A gate on a rated queue, on a network where its node and a client live."""
+    network = SimulatedNetwork()
+    for node_id in ("shard-t", "client-0"):
+        network.attach_client(_Node(node_id))
+    bounced = []
+    gate = AdmissionGate(
+        "shard-t", network, ServiceQueue(network.clock, rate=rate),
+        AdmissionConfig(**cfg), hop="shard_queue",
+        bounce=lambda to, kind, body: bounced.append((to, kind, body)),
     )
-    queue.on_drain = controller.pump
-    return clock, queue, controller, resumed
+    return network, gate, bounced
 
 
 def fill(queue, n):
@@ -107,13 +123,11 @@ class TestLanes:
             AdmissionConfig(defer_limit=0)
         with pytest.raises(ValueError):
             AdmissionConfig(retry_after_s=0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(wait_defer_s=-1.0)
 
 
 class TestController:
     def test_control_always_admitted_at_any_depth(self):
-        clock, queue, controller, _ = make_controller(depth_defer=1, depth_shed=2)
+        clock, queue, controller = make_controller(depth_defer=1, depth_shed=2)
         fill(queue, 50)  # far past every threshold
         for kind in (
             MessageKind.HEARTBEAT,
@@ -126,7 +140,7 @@ class TestController:
         assert controller.shed_by_lane.get(LANE_CONTROL, 0) == 0
 
     def test_join_defers_then_sheds_past_defer_limit(self):
-        clock, queue, controller, _ = make_controller(
+        clock, queue, controller = make_controller(
             depth_defer=2, depth_shed=100, defer_limit=2
         )
         assert controller.admit(MessageKind.JOIN).action == ACCEPT
@@ -140,7 +154,7 @@ class TestController:
         assert bounced.action == SHED  # the parking lot is bounded too
 
     def test_data_sheds_past_depth_with_drain_hint(self):
-        clock, queue, controller, _ = make_controller(
+        clock, queue, controller = make_controller(
             rate=2.0, depth_defer=1, depth_shed=3, retry_after_s=0.25
         )
         fill(queue, 4)
@@ -153,33 +167,58 @@ class TestController:
         assert decision.retry_after_s == pytest.approx(2.0)
 
     def test_pump_resumes_fifo_as_queue_drains(self):
-        clock, queue, controller, resumed = make_controller(
-            rate=10.0, depth_defer=1, depth_shed=100
-        )
-        fill(queue, 1)
+        network, gate, bounced = make_gate(rate=10.0, depth_defer=1, depth_shed=100)
+        served = []
+        gate.submit("client-0", MessageKind.CHOICE, {}, lambda: served.append("op"))
         for i in range(4):
-            assert controller.admit(MessageKind.JOIN).action == DEFER
-            controller.park(f"j{i}")
+            gate.submit(
+                "client-0", MessageKind.JOIN, {"doc_id": "d"},
+                lambda i=i: served.append(f"j{i}"),
+            )
+        controller = gate.controller
+        assert controller.deferred == 4
         assert controller.parked_count == 4
-        clock.run()
-        # Every resume re-opened capacity without re-submitting (the test
-        # resume callback doesn't enqueue), so one drain pumps them all.
-        assert resumed == ["j0", "j1", "j2", "j3"]
+        network.clock.run()
+        # Each served op frees the one slot under depth_defer, and the
+        # gate resumes exactly one parked JOIN into it: strict FIFO.
+        assert served == ["op", "j0", "j1", "j2", "j3"]
         assert controller.parked_count == 0
         assert controller.resumed == 4
+        assert bounced == []
 
-    def test_wait_watermark_trips_independently_of_depth(self):
-        clock, queue, controller, _ = make_controller(
-            rate=0.5, depth_defer=100, depth_shed=200, wait_defer_s=1.0
-        )
-        fill(queue, 2)  # depth 2 << 100, but backlog is 2/0.5 = 4 s
-        assert queue.wait_s > 1.0
-        assert controller.admit(MessageKind.JOIN).action == DEFER
+    def test_traced_deferred_op_records_shed_wait_then_queue_hop(self):
+        tracer = obs.DeliveryTracer(sample_every=1)
+        with obs.use_dtrace(tracer):
+            network, gate, _ = make_gate(rate=10.0, depth_defer=1, depth_shed=100)
+            gate.submit("client-0", MessageKind.CHOICE, {}, lambda: None)
+            ctx = tracer.start_trace("client-0", MessageKind.JOIN, 0.0)
+            with tracer.inbound(ctx):
+                gate.submit("client-0", MessageKind.JOIN, {"doc_id": "d"}, lambda: None)
+            network.clock.run()
+        [record] = tracer.store
+        # parked 0 -> 0.1 s behind the busy op, then queued 0.1 -> 0.2 s
+        assert [(s.hop, s.node, s.start, s.end) for s in record.spans] == [
+            ("shed_wait", "shard-t", 0.0, pytest.approx(0.1)),
+            ("shard_queue", "shard-t", pytest.approx(0.1), pytest.approx(0.2)),
+        ]
+
+    def test_shed_op_bounces_retry_after_and_never_dispatches(self):
+        network, gate, bounced = make_gate(rate=1.0, depth_defer=1, depth_shed=1)
+        served = []
+        gate.submit("client-0", MessageKind.CHOICE, {}, lambda: served.append("a"))
+        payload = {"session_id": "s", "op_seq": 2}
+        gate.submit("client-0", MessageKind.CHOICE, payload, lambda: served.append("b"))
+        network.clock.run()
+        assert served == ["a"]
+        [(to, kind, body)] = bounced
+        assert (to, kind) == ("client-0", MessageKind.RETRY_AFTER)
+        assert body["op_seq"] == 2
+        assert body["node"] == "shard-t"
 
 
 class TestShedFloor:
     def test_later_seqs_shed_until_floor_returns(self):
-        clock, queue, controller, _ = make_controller(
+        clock, queue, controller = make_controller(
             rate=1.0, depth_defer=1, depth_shed=2
         )
         fill(queue, 3)
@@ -208,7 +247,7 @@ class TestShedFloor:
         )
 
     def test_floor_is_per_session_and_forgettable(self):
-        clock, queue, controller, _ = make_controller(
+        clock, queue, controller = make_controller(
             rate=1.0, depth_defer=1, depth_shed=2
         )
         fill(queue, 3)
@@ -255,26 +294,48 @@ class TestRetryAfterBody:
 class TestRouteRetryBackoff:
     """Satellite: capped exponential backoff + deterministic jitter."""
 
-    def test_delay_is_capped_and_jittered(self, tmp_path):
-        store, _ = build_store(tmp_path, "backoff")
-        harness = ClusterHarness(store, ClusterConfig(shards=2))
-        gw = harness.gateways["gw-1"]
-        uncapped = [gw._route_retry_delay("n-1", "choice", a) for a in range(10)]
+    def test_delay_is_capped_and_jittered(self):
+        uncapped = [retry_delay(a, "gw-1", "n-1", "choice") for a in range(10)]
         # jitter adds at most +50% on top of the capped base
-        assert max(uncapped) <= ROUTE_RETRY_MAX_S * 1.5
+        assert max(uncapped) <= RETRY_MAX_S * 1.5
         # early attempts still grow exponentially
         assert uncapped[1] > uncapped[0]
 
-    def test_delay_is_deterministic_but_decorrelated(self, tmp_path):
-        store, _ = build_store(tmp_path, "jitter")
-        harness = ClusterHarness(store, ClusterConfig(shards=2))
-        gw = harness.gateways["gw-1"]
-        a = gw._route_retry_delay("n-1", "choice", 3)
-        assert a == gw._route_retry_delay("n-1", "choice", 3)  # seeded, stable
+    def test_delay_is_deterministic_but_decorrelated(self):
+        a = retry_delay(3, "gw-1", "n-1", "choice")
+        assert a == retry_delay(3, "gw-1", "n-1", "choice")  # seeded, stable
         # different senders / attempts retry at different moments — no
         # synchronized stampede after a failover
-        assert a != gw._route_retry_delay("n-2", "choice", 3)
-        assert a != gw._route_retry_delay("n-1", "choice", 4)
+        assert a != retry_delay(3, "gw-1", "n-2", "choice")
+        assert a != retry_delay(4, "gw-1", "n-1", "choice")
+
+    def test_shards_parked_on_one_dead_gateway_retry_apart(self, tmp_path, fresh_obs):
+        """Client-bound sends use the same capped, jittered schedule, and
+        two shards waiting on one dead gateway do not retry in lockstep."""
+        _, log = fresh_obs
+        store, _ = build_store(tmp_path, "clientbound")
+        harness = ClusterHarness(store, ClusterConfig(shards=2, gateways=2))
+        client = harness.add_client("parked")
+        # Fail-stop its home gateway with no detector running: the ring
+        # keeps naming the corpse, so every client-bound send parks.
+        harness.crash(harness.home_of("parked"))
+        kind = MessageKind.PRESENTATION_UPDATE
+        for shard in harness.shards.values():
+            shard.route_to_client(client.node_id, kind, {"doc_id": "case-0"})
+        harness.run()
+        delays = {}
+        for event in log.filter("cluster.clientbound_retry"):
+            delays.setdefault(event.fields["shard"], []).append(event.fields["delay"])
+        assert sorted(delays) == sorted(harness.shards)
+        for shard_id, observed in delays.items():
+            assert observed == [
+                retry_delay(a, shard_id, client.node_id, kind)
+                for a in range(RETRY_ATTEMPTS)
+            ]
+            assert max(observed) <= RETRY_MAX_S * 1.5  # capped (was 8 s)
+        first, second = delays.values()
+        assert all(a != b for a, b in zip(first, second))
+        assert len(log.filter("cluster.clientbound_gave_up")) == 2
 
     def test_seeded_jitter_range(self):
         values = [seeded_jitter("x", i) for i in range(200)]
@@ -282,13 +343,18 @@ class TestRouteRetryBackoff:
         assert len(set(values)) > 100  # actually spreads
 
 
-def saturated_cluster(tmp_path, name, *, admission, clients=8, service_rate=4.0):
-    """A two-gateway cluster with one slow room flooded by joins+ops."""
+def saturated_cluster(
+    tmp_path, name, *, admission, clients=8, service_rate=4.0, route_rate=None,
+    gateways=2,
+):
+    """A cluster with one slow room flooded by joins+ops (two gateways
+    by default; a *route_rate* makes the gateways the bottleneck)."""
     store, records = build_store(tmp_path, name)
     config = ClusterConfig(
         shards=2,
-        gateways=2,
+        gateways=gateways,
         service_rate=service_rate,
+        route_rate=route_rate,
         failure_timeout=2.0,
         admission=admission,
     )
@@ -449,6 +515,139 @@ class TestOverloadIntegration:
         final = dict(events[-1:])
         for path, value in final.items():
             assert a.displayed()[path] == value
+
+
+def join_order(viewers):
+    """Viewer ids in the order their JOIN_ACKs landed."""
+    landed = sorted(
+        (c.join_latency + 0.01 * i, c.viewer_id)
+        for i, c in enumerate(viewers)
+        if c.join_latency is not None
+    )
+    return [viewer for _, viewer in landed]
+
+
+def gateway_shed_run(tmp_path, name):
+    """One client bursts choices past a slow gateway's shed depth."""
+    store, records = build_store(tmp_path, name)
+    config = ClusterConfig(
+        shards=2,
+        gateways=1,
+        route_rate=3.0,
+        admission=AdmissionConfig(
+            depth_defer=1, depth_shed=2, defer_limit=64, retry_after_s=0.25
+        ),
+    )
+    harness = ClusterHarness(store, config)
+    a = harness.add_client("gs-0")
+    b = harness.add_client("gs-1")
+    a.join("case-0")
+    harness.run()
+    b.join("case-0")
+    harness.run()
+    events = consultation_events(records["case-0"], num_events=10, seed=3)
+    for path, value in events:
+        a.choose(path, value)
+    harness.run()
+    return harness, a, b, events
+
+
+class TestGatewayGate:
+    """The gateways' routing queues run the same gate as the shards."""
+
+    def test_deferred_join_wave_resumes_fifo(self, tmp_path):
+        harness, viewers = saturated_cluster(
+            tmp_path,
+            "gwfifo",
+            admission=AdmissionConfig(depth_defer=1, depth_shed=64, defer_limit=64),
+            service_rate=None,
+            route_rate=4.0,
+            gateways=1,
+        )
+        harness.run()
+        gateway = harness.gateways["gw-1"]
+        assert gateway.admission.deferred > 0
+        assert all(s.admission.deferred == 0 for s in harness.shards.values())
+        assert join_order(viewers) == [c.viewer_id for c in viewers]
+        assert gateway.admission.parked_count == 0
+        assert gateway.admission.resumed == gateway.admission.deferred
+
+    def test_shed_data_op_replays_exactly_once(self, tmp_path, fresh_obs):
+        registry, _ = fresh_obs
+        harness, a, b, events = gateway_shed_run(tmp_path, "gwshed")
+        gateway = harness.gateways["gw-1"]
+        assert gateway.admission.shed_by_lane.get(LANE_DATA, 0) > 0
+        assert a.retry_afters, "the burst must have bounced something"
+        assert not a.errors and not b.errors
+        counters = registry.snapshot()["counters"]
+        # Every choice applied once on the primary and once on its
+        # standby replica; no retry reached a shard twice.
+        assert counters["server.choices"] == 2 * len(events)
+        assert counters.get("cluster.shard.dup_ops_dropped", 0) == 0
+        assert a.displayed() == b.displayed()
+        for path, value in dict(events[-1:]).items():
+            assert a.displayed()[path] == value
+
+    def test_control_traffic_is_never_shed(self, tmp_path, fresh_obs):
+        registry, _ = fresh_obs
+        harness, viewers = saturated_cluster(
+            tmp_path,
+            "gwctrl",
+            admission=AdmissionConfig(depth_defer=1, depth_shed=2, defer_limit=64),
+            service_rate=None,
+            route_rate=2.0,  # brutally slow: everything queues at the gateways
+        )
+        harness.start(until=20.0)
+        harness.run()
+        for gateway in harness.gateways.values():
+            assert gateway.admission.shed_by_lane.get(LANE_CONTROL, 0) == 0
+            assert gateway.admission.shed > 0  # overload really happened
+            # Shard responses (ROUTE envelopes) pass the gate on the
+            # control lane.
+            key = f'admission.accepted{{node="{gateway.node_id}",lane="control"}}'
+            assert registry.snapshot()["counters"][key] > 0
+        assert harness.failovers == []
+        assert harness.gateway_failovers == []
+        assert not any(c.errors for c in viewers)
+
+    def test_departed_client_deferred_join_dropped_with_zero_residue(self, tmp_path):
+        store, _ = build_store(tmp_path, "gwresidue")
+        config = ClusterConfig(
+            shards=1,
+            gateways=1,
+            route_rate=2.0,
+            admission=AdmissionConfig(depth_defer=1, depth_shed=64, defer_limit=64),
+        )
+        harness = ClusterHarness(store, config)
+        stayer = harness.add_client("stay")
+        leaver = harness.add_client("gone")
+        clock = harness.clock
+        clock.schedule_at(0.0, lambda: stayer.join("case-0"))
+        clock.schedule_at(0.01, lambda: leaver.join("case-0"))
+        # The leaver vanishes while its JOIN is parked at the gateway
+        # behind the 2 envelopes/s routing queue.
+        clock.schedule_at(0.1, lambda: harness.network.detach_client(leaver.node_id))
+        harness.run()
+        gateway = harness.gateways["gw-1"]
+        assert gateway.admission.dropped_dead == 1
+        assert gateway.admission.parked_count == 0
+        assert leaver.session_id is None
+        [shard] = harness.shards.values()
+        viewers_in_rooms = {
+            server.session(sid).viewer_id
+            for server in shard.serving_servers()
+            for sid in server.session_ids
+        }
+        assert viewers_in_rooms == {"stay"}
+
+    def test_traced_run_records_gateway_queue_and_shed_wait_hops(self, tmp_path):
+        tracer = obs.DeliveryTracer(sample_every=1, max_traces=4096)
+        with obs.use_dtrace(tracer):
+            gateway_shed_run(tmp_path, "gwtrace")
+        hops = {(span.hop, span.node) for record in tracer.store for span in record.spans}
+        assert ("gateway_queue", "gw-1") in hops
+        # Shed choices retried by the client carry their backoff as shed_wait.
+        assert "shed_wait" in {hop for hop, _ in hops}
 
 
 class TestAdmissionOff:

@@ -204,6 +204,38 @@ class TestGatewayFailover:
         assert mon.session_id is not None
 
 
+    def test_responses_queued_on_the_dead_gateway_are_resynced(
+        self, fresh_obs, tmp_path
+    ):
+        """A gateway with a routing queue dies holding accepted-but-unsent
+        updates for clients that never act; the failover still heals them."""
+        store, records = build_store(tmp_path, "queued")
+        config = ClusterConfig(
+            shards=1, gateways=2, route_rate=5.0, failure_timeout=1.5
+        )
+        harness = ClusterHarness(store, config)
+        clients = [harness.add_client(f"q-{i}") for i in range(12)]
+        doomed = harness.gateways[harness.home_of("q-0")]
+        listeners = [c for c in clients if harness.home_of(c.viewer_id) == doomed.node_id]
+        speaker = next(c for c in clients if c not in listeners)
+        for client in [speaker, *listeners]:
+            client.join("case-0")
+        harness.run()
+        harness.start(until=HORIZON)
+        # One choice per component, so no later update repeats a lost one.
+        events = consultation_events(records["case-0"], num_events=12, seed=4)
+        for path, value in dict(events).items():
+            speaker.choose(path, value)
+        harness.run_until(harness.clock.now + 2.0)
+        assert doomed.queue.pending > len(listeners)  # updates still waiting
+        harness.crash(doomed.node_id)
+        harness.run()
+        assert len(harness.gateway_failovers) == 1
+        assert not any(c.errors for c in [speaker, *listeners])
+        for listener in listeners:
+            assert listener.displayed() == speaker.displayed()
+
+
 class TestShardFailureInTier:
     def test_shard_crash_invalidates_route_caches(self, fresh_obs, tmp_path):
         store, records = build_store(tmp_path, "inval")
