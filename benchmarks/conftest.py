@@ -9,7 +9,9 @@ Every benchmark module also emits an observability snapshot: a
 module-scoped fixture diffs the process metrics registry around the
 module's tests and writes the delta to ``benchmarks/metrics/<module>.json``
 — so each figure comes with the subsystem counters/histograms that
-produced it.
+produced it. Quick runs write theirs to ``benchmarks/metrics/quick/``
+instead (ignored by git): their shrunken workloads must not overwrite
+the full-run dumps that are tracked.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ METRICS_DIR = Path(__file__).parent / "metrics"
 #: collection is disabled and modules that consult the flag shrink their
 #: workloads, so the suite exercises every benchmark path in seconds.
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+
+#: Where ``metrics_snapshot`` writes the per-module deltas.
+SNAPSHOT_DIR = METRICS_DIR / "quick" if QUICK else METRICS_DIR
 
 
 def pytest_configure(config):
@@ -58,8 +63,8 @@ def metrics_snapshot(request):
     before = obs.snapshot()
     yield
     delta = obs.diff(before, obs.snapshot())
-    METRICS_DIR.mkdir(exist_ok=True)
-    out = METRICS_DIR / f"{request.module.__name__}.json"
+    SNAPSHOT_DIR.mkdir(parents=True, exist_ok=True)
+    out = SNAPSHOT_DIR / f"{request.module.__name__}.json"
     out.write_text(obs.to_json(delta) + "\n")
 
 

@@ -96,11 +96,18 @@ class CompositeMultimediaComponent(MultimediaComponent):
 
     Its presentation domain is exactly shown/hidden; hiding a composite
     hides its whole subtree (the presentation engine enforces that).
+
+    :attr:`structure_version` counts the attaches and detaches made
+    anywhere in this subtree while it hung below this node: every
+    :meth:`add` and :meth:`remove` bumps it on the edited composite and
+    on each of its ancestors, so a root's version changes whenever the
+    shape of its tree does (the document's component index keys on it).
     """
 
     def __init__(self, name: str, description: str = "") -> None:
         super().__init__(name, description)
         self._children: dict[str, MultimediaComponent] = {}
+        self.structure_version = 0
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -125,6 +132,7 @@ class CompositeMultimediaComponent(MultimediaComponent):
             raise DocumentError(f"{self.path!r} already has a child {child.name!r}")
         child._parent = self
         self._children[child.name] = child
+        self._bump_structure_version()
         return child
 
     def remove(self, name: str) -> MultimediaComponent:
@@ -134,7 +142,14 @@ class CompositeMultimediaComponent(MultimediaComponent):
         except KeyError:
             raise DocumentError(f"{self.path!r} has no child {name!r}") from None
         child._parent = None
+        self._bump_structure_version()
         return child
+
+    def _bump_structure_version(self) -> None:
+        node: CompositeMultimediaComponent | None = self
+        while node is not None:
+            node.structure_version += 1
+            node = node._parent
 
     def child(self, name: str) -> MultimediaComponent:
         try:

@@ -14,9 +14,11 @@ paper's class diagram shows.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.errors import DocumentError
+from repro.obs import get_registry
 from repro.cpnet.compiled import (
     CompletionCache,
     compile_cpnet,
@@ -32,6 +34,63 @@ from repro.document.component import (
     MultimediaComponent,
     PrimitiveMultimediaComponent,
 )
+
+
+class ComponentIndex:
+    """The non-root components of one tree shape, walked once.
+
+    ``items`` holds the ``(path, node)`` pairs in pre-order and ``nodes``
+    the same pairs as a read-only mapping. ``hiding`` pairs every
+    composite, in pre-order, with the ``(descendant path, hidden value)``
+    writes that hiding it implies. ``version`` is the root's
+    :attr:`~CompositeMultimediaComponent.structure_version` the walk saw:
+    the index is valid exactly while the root still reports it.
+    """
+
+    __slots__ = ("version", "items", "nodes", "hiding")
+
+    def __init__(self, root: CompositeMultimediaComponent) -> None:
+        self.version = root.structure_version
+        items: list[tuple[str, MultimediaComponent]] = []
+        _collect(root, "", items)
+        self.items = tuple(items)
+        self.nodes: Mapping[str, MultimediaComponent] = MappingProxyType(dict(items))
+        hiding = []
+        for position, (path, node) in enumerate(items):
+            if not isinstance(node, CompositeMultimediaComponent):
+                continue
+            prefix = path + "."
+            writes = []
+            for child_path, child in items[position + 1 :]:
+                if not child_path.startswith(prefix):
+                    break  # pre-order: the subtree is one contiguous run
+                hidden = _hidden_value(child)
+                if hidden is not None:
+                    writes.append((child_path, hidden))
+            hiding.append((path, tuple(writes)))
+        self.hiding: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = tuple(hiding)
+
+
+def _collect(
+    node: CompositeMultimediaComponent,
+    prefix: str,
+    out: list[tuple[str, MultimediaComponent]],
+) -> None:
+    """Pre-order ``(path, node)`` pairs below *node*; paths as ``.path`` spells them."""
+    for child in node.children:
+        path = f"{prefix}.{child.name}" if prefix else child.name
+        out.append((path, child))
+        if isinstance(child, CompositeMultimediaComponent):
+            _collect(child, path, out)
+
+
+def _hidden_value(node: MultimediaComponent) -> str | None:
+    """The domain value meaning "not displayed", if the component has one."""
+    if isinstance(node, CompositeMultimediaComponent):
+        return COMPOSITE_HIDDEN
+    if COMPOSITE_HIDDEN in node.domain:
+        return COMPOSITE_HIDDEN
+    return None
 
 
 class MultimediaDocument:
@@ -68,6 +127,7 @@ class MultimediaDocument:
         #: this when it opens the document so direct §5.1 queries share
         #: entries with the presentation engines.
         self.completion_cache: CompletionCache | None = None
+        self._index: ComponentIndex | None = None
         self._check_alignment()
 
     # ----- structure ------------------------------------------------------------
@@ -85,15 +145,29 @@ class MultimediaDocument:
         """Resolve a component by dotted path from the root."""
         return self._root.find(path)
 
+    def component_index(self) -> ComponentIndex:
+        """The component index of the tree's current shape.
+
+        Rebuilt (and ``document.index_builds`` counted) only when the
+        root's structure version moved, i.e. after a component was added
+        or removed anywhere in the tree. Treat it as read-only.
+        """
+        index = self._index
+        if index is None or index.version != self._root.structure_version:
+            index = self._index = ComponentIndex(self._root)
+            get_registry().counter("document.index_builds").inc()
+        return index
+
     def components(self) -> dict[str, MultimediaComponent]:
-        """All non-root components keyed by path (pre-order)."""
-        return {node.path: node for node in self._root.iter_tree() if node is not self._root}
+        """All non-root components keyed by path (pre-order); a fresh
+        dict the caller owns."""
+        return dict(self.component_index().nodes)
 
     def component_paths(self) -> tuple[str, ...]:
-        return tuple(self.components())
+        return tuple(self.component_index().nodes)
 
     def _check_alignment(self) -> None:
-        components = self.components()
+        components = self.component_index().nodes
         missing = [path for path in components if path not in self._network]
         if missing:
             raise DocumentError(
@@ -165,34 +239,24 @@ class MultimediaDocument:
         return outcome
 
     def _enforce_subtree_hiding(self, outcome: dict[str, str]) -> dict[str, str]:
-        """Hiding a composite hides every descendant, whatever the CPT says."""
-        for path, node in self.components().items():
-            if isinstance(node, CompositeMultimediaComponent):
-                if outcome.get(path) == COMPOSITE_HIDDEN:
-                    for descendant in node.iter_tree():
-                        if descendant is node:
-                            continue
-                        child_path = descendant.path
-                        hidden = self._hidden_value(descendant)
-                        if hidden is not None:
-                            outcome[child_path] = hidden
-        return outcome
+        """Hiding a composite hides every descendant, whatever the CPT says.
 
-    @staticmethod
-    def _hidden_value(node: MultimediaComponent) -> str | None:
-        """The domain value meaning "not displayed", if the component has one."""
-        if isinstance(node, CompositeMultimediaComponent):
-            return COMPOSITE_HIDDEN
-        if COMPOSITE_HIDDEN in node.domain:
-            return COMPOSITE_HIDDEN
-        return None
+        Composites are visited in pre-order against the outcome as it is
+        being rewritten, so a composite hidden by an ancestor also counts
+        as hidden.
+        """
+        for path, writes in self.component_index().hiding:
+            if outcome.get(path) == COMPOSITE_HIDDEN:
+                for child_path, hidden in writes:
+                    outcome[child_path] = hidden
+        return outcome
 
     # ----- derived measures ----------------------------------------------------------
 
     def presentation_bytes(self, outcome: Mapping[str, str]) -> int:
         """Total bytes a client must receive to render *outcome*."""
         total = 0
-        for path, node in self.components().items():
+        for path, node in self.component_index().items:
             if path in outcome:
                 total += node.presentation_size(outcome[path])
         return total
@@ -200,7 +264,7 @@ class MultimediaDocument:
     def visible_components(self, outcome: Mapping[str, str]) -> tuple[str, ...]:
         """Paths whose chosen presentation actually displays something."""
         visible = []
-        for path, node in self.components().items():
+        for path, node in self.component_index().items:
             value = outcome.get(path)
             if value is None or value == COMPOSITE_HIDDEN:
                 continue
@@ -255,6 +319,6 @@ class MultimediaDocument:
 
     def __repr__(self) -> str:
         return (
-            f"MultimediaDocument({self.doc_id!r}, {len(self.components())} components, "
+            f"MultimediaDocument({self.doc_id!r}, {len(self.component_index().items)} components, "
             f"net={len(self._network)} vars)"
         )

@@ -26,7 +26,7 @@ def default_subscriptions(
     visibility anyway, so seeding the sections too would widen interest
     to every sibling for free.
     """
-    components = document.components()
+    components = document.component_index().nodes
     return tuple(
         sorted(
             path

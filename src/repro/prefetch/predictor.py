@@ -93,7 +93,7 @@ class CPNetPredictor:
         # run reuses one compilation (the regression test pins this).
         evaluator = compile_cpnet(network) if compiled_enabled() else None
         scores: dict[tuple[str, str], float] = {}
-        components = self.document.components()
+        components = self.document.component_index().nodes
         for path, node in components.items():
             if not isinstance(node, PrimitiveMultimediaComponent):
                 continue

@@ -86,7 +86,7 @@ def install_bandwidth_tuning(
     net.add_variable(TUNING_VARIABLE, _LEVELS, description="measured link bandwidth")
     net.add_rule(TUNING_VARIABLE, {}, _LEVELS)  # unconstrained: assume high
     tuned: list[str] = []
-    for path, component in document.components().items():
+    for path, component in document.component_index().items:
         if not isinstance(component, PrimitiveMultimediaComponent):
             continue
         heaviest = max(component.presentation_size(v) for v in component.domain)

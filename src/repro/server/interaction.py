@@ -627,6 +627,20 @@ class InteractionServer:
             # shared choice) receive the *same* update frame: one encode,
             # N sends. Keyed by the delta's canonical item sequence.
             update_frames: dict[tuple[tuple[str, str], ...], Frame] = {}
+            # Size accounting only feeds counters, and a shared choice
+            # hands most members the same delta and outcome: measure each
+            # distinct content once per fan-out. Keyed on the items in
+            # insertion order, because the encoding interns strings in
+            # the order it meets them.
+            sizes: dict[tuple[tuple[str, str], ...], int] = {}
+
+            def size_of(content: dict[str, str]) -> int:
+                key = tuple(content.items())
+                size = sizes.get(key)
+                if size is None:
+                    size = sizes[key] = encoded_size(content)
+                return size
+
             for member_id in room.member_sessions:
                 member = self._session(member_id)
                 spec = room.presentation_for(member.viewer_id, now=self._now())
@@ -649,12 +663,10 @@ class InteractionServer:
                     filtered = room.interest.filter_delta(member_id, delta)
                 if not filtered:
                     self._m_interest_filtered.inc()
-                    self._m_interest_bytes_saved.inc(encoded_size(delta))
+                    self._m_interest_bytes_saved.inc(size_of(delta))
                     continue
                 if len(filtered) != len(delta):
-                    self._m_interest_bytes_saved.inc(
-                        encoded_size(delta) - encoded_size(filtered)
-                    )
+                    self._m_interest_bytes_saved.inc(size_of(delta) - size_of(filtered))
                 updates[member_id] = filtered
                 merged = dict(known) if known else {}
                 merged.update(filtered)
@@ -673,8 +685,8 @@ class InteractionServer:
                     )
                 # Diff-vs-full accounting: what this update costs on the
                 # wire against what a whole-outcome resend would cost.
-                delta_size = encoded_size(filtered)
-                full_size = encoded_size(dict(spec.outcome))
+                delta_size = size_of(filtered)
+                full_size = size_of(spec.outcome)
                 self._m_prop_diff_bytes.inc(delta_size)
                 self._m_prop_full_bytes.inc(full_size)
                 diff_bytes.inc(delta_size)
@@ -700,6 +712,7 @@ class InteractionServer:
                 # interested recipient), the same frame to every member —
                 # the bytes were identical per recipient anyway.
                 event_frame: Frame | None = None
+                event_size: int | None = None
                 for member_id in room.member_sessions:
                     member = self._session(member_id)
                     if member.viewer_id == change.viewer_id:
@@ -707,8 +720,10 @@ class InteractionServer:
                     if changed_component is not None and not room.interest.covers(
                         member_id, changed_component
                     ):
+                        if event_size is None:
+                            event_size = encoded_size(event_body)
                         self._m_interest_filtered.inc()
-                        self._m_interest_bytes_saved.inc(encoded_size(event_body))
+                        self._m_interest_bytes_saved.inc(event_size)
                         continue
                     if event_frame is None:
                         event_frame = encode_message(MessageKind.PEER_EVENT, event_body)
@@ -883,7 +898,7 @@ class InteractionServer:
                         "domain": list(c.domain),
                         "sizes": {v: c.presentation_size(v) for v in c.domain},
                     }
-                    for p, c in room.document.components().items()
+                    for p, c in room.document.component_index().items
                 ],
             }
             if self.network is not None:
